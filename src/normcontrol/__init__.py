@@ -23,9 +23,10 @@ from .optim import (
     sgd_step_coupled_decay,
     step,
 )
-from .params import ParamGroup, ParamStore, load_checkpoint, save_checkpoint
+from .params import ParamGroup, ParamStore
 from .schedules import (
     CosineSpec,
+    EtaTiedKt,
     PiecewiseLinearSpec,
     ScheduleSpec,
     TargetNormMode,
@@ -41,6 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonReport",
     "CosineSpec",
+    "EtaTiedKt",
     "OptimizerConfig",
     "OptimizerState",
     "OracleState",
@@ -62,7 +64,6 @@ __all__ = [
     "emit_schedule_table",
     "finite_diff_check",
     "format_schedule_spec",
-    "load_checkpoint",
     "oracle_from_store",
     "oracle_step",
     "parse_run_config",
@@ -71,7 +72,6 @@ __all__ = [
     "regularize_decay",
     "regularize_norm_control",
     "run",
-    "save_checkpoint",
     "sgd_step_coupled_decay",
     "step",
 ]

@@ -33,7 +33,6 @@ from .schedules import (
     PiecewiseLinearSpec,
     ScheduleParseError,
     ScheduleSpec,
-    TargetNormMode,
     parse_schedule_spec,
     split_assignments,
 )
@@ -222,10 +221,6 @@ def run(config: RunConfig) -> RunTrace:
             raise RuntimeError(f"run aborted at step {t}: {e}") from e
         if t % config.eval_every == 0 or t == config.steps:
             val_loss, _ = task.loss_and_grad(store.theta, task.val_batch())
-            if sched.target_mode is TargetNormMode.RELATIVE:
-                target = report.r_t * store.initial_norm
-            else:
-                target = report.r_t
             rows.append(TraceRow(
                 t=t,
                 train_loss=train_loss,
@@ -233,7 +228,7 @@ def run(config: RunConfig) -> RunTrace:
                 eta_t=report.eta_t,
                 r_t=report.r_t,
                 k_t=report.k_t,
-                target_norm=target,
+                target_norm=report.target_norm,
                 actual_norm=report.post_norm,
                 norm_ratio=report.post_norm / store.initial_norm,
                 grad_norm=float(np.linalg.norm(g)),

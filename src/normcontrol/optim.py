@@ -16,13 +16,15 @@ update scaled by eta_t * alpha, then exactly one regularization variant:
 Norm control contains both decay variants as special cases: r_t = 0 with
 k_t = eta_t * alpha0 * lam reproduces DECAY_COUPLED_LR, and k_t = eta_t * lam
 reproduces DECAY_DECOUPLED. The implementation keeps those reductions exact
-in floating point (both paths scale by the identical ``1 - rate`` factor).
+in floating point (both paths scale by the identical ``1 - rate`` factor);
+``schedules.EtaTiedKt`` is that k_t schedule.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -53,6 +55,9 @@ class OptimizerConfig:
     variant: Variant = Variant.NONE
 
     def __post_init__(self):
+        for name in ("alpha", "epsilon", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 < 1.0:
@@ -84,6 +89,7 @@ class StepReport:
     eta_t: float
     r_t: float
     k_t: float
+    target_norm: float  # what r_t asks for under sched.target_mode, for every variant
     pre_norm: float
     post_norm: float
 
@@ -162,7 +168,7 @@ def regularize_norm_control(
             stacklevel=2,
         )
         return
-    target = r_t * store.initial_norm if mode is TargetNormMode.RELATIVE else r_t
+    target = mode.target(r_t, store.initial_norm)
     factor = (1.0 - k_t) + k_t * (target / n)
     store.scale_controlled(factor)
 
@@ -177,9 +183,13 @@ def sgd_step_coupled_decay(
     """
     if g.shape != store.theta.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape {store.theta.shape}")
-    mask = store.controlled_mask
-    store.theta[mask] = (1.0 - weight_decay) * store.theta[mask] - alpha * g[mask]
-    store.theta[~mask] -= alpha * g[~mask]
+    theta = store.theta
+    for group in store.groups:
+        s = group.slice
+        if group.controlled:
+            theta[s] = (1.0 - weight_decay) * theta[s] - alpha * g[s]
+        else:
+            theta[s] -= alpha * g[s]
 
 
 def step(
@@ -221,6 +231,7 @@ def step(
         eta_t=eta_t,
         r_t=r_t,
         k_t=k_t,
+        target_norm=sched.target_mode.target(r_t, store.initial_norm),
         pre_norm=pre_norm,
         post_norm=store.controlled_norm(),
     )

@@ -8,7 +8,6 @@ and biases, which common training setups exclude from decay).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,16 +24,16 @@ class ParamGroup:
     controlled: bool = True
 
     @property
-    def stop(self) -> int:
-        return self.offset + self.length
+    def slice(self) -> slice:
+        return slice(self.offset, self.offset + self.length)
 
 
 class ParamStore:
     """Owns theta, its group partition, and the frozen initial controlled norm.
 
-    The initial norm is measured once at construction (or restored from a
-    checkpoint) and never recomputed, so norm ratios are always relative to
-    the same reference. Single-writer: one store belongs to one run loop.
+    The initial norm is measured once at construction and never recomputed,
+    so norm ratios are always relative to the same reference. Single-writer:
+    one store belongs to one run loop.
     """
 
     def __init__(
@@ -42,16 +41,11 @@ class ParamStore:
         theta: np.ndarray,
         groups: list[ParamGroup],
         initial_norm: float | None = None,
-        dtype=np.float64,
     ):
-        self.theta = np.array(theta, dtype=dtype).ravel()
+        self.theta = np.array(theta, dtype=np.float64).ravel()
         self.groups = sorted(groups, key=lambda g: g.offset)
         _check_tiling(self.groups, self.theta.size)
-        mask = np.zeros(self.theta.size, dtype=bool)
-        for g in self.groups:
-            if g.controlled:
-                mask[g.offset : g.stop] = True
-        self.controlled_mask = mask
+        self.controlled_slices = [g.slice for g in self.groups if g.controlled]
         if initial_norm is None:
             initial_norm = self.controlled_norm()
         self.initial_norm = float(initial_norm)
@@ -65,7 +59,8 @@ class ParamStore:
         naive formula bit for bit in normal ranges) to avoid the squares
         under- or overflowing for extreme magnitudes.
         """
-        x = self.theta[self.controlled_mask]
+        views = [self.theta[s] for s in self.controlled_slices] or [self.theta[:0]]
+        x = views[0] if len(views) == 1 else np.concatenate(views)
         if x.size == 0:
             return 0.0
         biggest = float(np.max(np.abs(x)))
@@ -85,26 +80,12 @@ class ParamStore:
 
     def scale_controlled(self, factor: float) -> None:
         """Multiply every controlled element by one scalar, in place."""
-        self.theta[self.controlled_mask] *= factor
+        for s in self.controlled_slices:
+            self.theta[s] *= factor
 
     def snapshot(self) -> "ParamStore":
         """Deep copy; mutating the copy leaves the original untouched."""
-        return ParamStore(
-            self.theta.copy(),
-            list(self.groups),
-            initial_norm=self.initial_norm,
-            dtype=self.theta.dtype,
-        )
-
-    def group(self, name: str) -> ParamGroup:
-        for g in self.groups:
-            if g.name == name:
-                return g
-        raise KeyError(name)
-
-    def group_view(self, name: str) -> np.ndarray:
-        g = self.group(name)
-        return self.theta[g.offset : g.stop]
+        return ParamStore(self.theta.copy(), list(self.groups), initial_norm=self.initial_norm)
 
 
 def _check_tiling(groups: list[ParamGroup], size: int) -> None:
@@ -117,36 +98,6 @@ def _check_tiling(groups: list[ParamGroup], size: int) -> None:
                 f"groups must tile the vector contiguously: group {g.name!r} "
                 f"starts at {g.offset}, expected {expected}"
             )
-        expected = g.stop
+        expected = g.offset + g.length
     if expected != size:
         raise ValueError(f"groups cover {expected} elements, vector has {size}")
-
-
-def save_checkpoint(store: ParamStore, path) -> None:
-    """Write a checkpoint: one JSON header line, then raw little-endian f64."""
-    header = {
-        "groups": [
-            {"name": g.name, "offset": g.offset, "length": g.length, "controlled": g.controlled}
-            for g in store.groups
-        ],
-        "initial_norm": store.initial_norm,
-    }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header).encode("utf-8") + b"\n")
-        f.write(np.ascontiguousarray(store.theta, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path) -> ParamStore:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
-    with open(path, "rb") as f:
-        header_line = f.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ValueError(f"bad checkpoint header: {e}") from e
-        theta = np.frombuffer(f.read(), dtype="<f8")
-    groups = [
-        ParamGroup(d["name"], int(d["offset"]), int(d["length"]), bool(d["controlled"]))
-        for d in header["groups"]
-    ]
-    return ParamStore(theta, groups, initial_norm=float(header["initial_norm"]))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -27,6 +27,10 @@ class TargetNormMode(Enum):
 
     RELATIVE = "relative"
     ABSOLUTE = "absolute"
+
+    def target(self, r_t: float, initial_norm: float) -> float:
+        """The norm r_t asks for: r_t * initial_norm (relative) or r_t (absolute)."""
+        return r_t * initial_norm if self is TargetNormMode.RELATIVE else r_t
 
 
 class ScheduleParseError(ValueError):
@@ -109,6 +113,8 @@ class PiecewiseLinearSpec:
             if t1 <= t0:
                 raise ScheduleValidationError(field_name, "breakpoints must be strictly increasing in t")
         for _, v in self.points:
+            if not math.isfinite(v):
+                raise ScheduleValidationError(field_name, f"value {v} is not finite")
             if lo is not None and v < lo:
                 raise ScheduleValidationError(field_name, f"value {v} below allowed minimum {lo}")
             if hi is not None and v > hi:
@@ -159,6 +165,33 @@ class ScheduleSpec:
 
     def kt_at(self, t: int) -> float:
         return self.kt.value_at(t)
+
+
+@dataclass(frozen=True)
+class EtaTiedKt:
+    """Norm-control schedules that reproduce a weight-decay variant exactly.
+
+    r_t = 0 and k_t = eta_t * rates[0] * rates[1] * ..., multiplied left to
+    right in the order optim.step forms its decay rate, so the reduction is
+    bitwise: rates (alpha0, lam) match DECAY_COUPLED_LR and (lam,) match
+    DECAY_DECOUPLED.
+    """
+
+    base: ScheduleSpec
+    rates: tuple[float, ...]
+    target_mode = TargetNormMode.RELATIVE
+
+    def eta_at(self, t: int) -> float:
+        return self.base.eta_at(t)
+
+    def rt_at(self, t: int) -> float:
+        return 0.0
+
+    def kt_at(self, t: int) -> float:
+        k = self.base.eta_at(t)
+        for rate in self.rates:
+            k *= rate
+        return k
 
 
 SCHEDULE_KEYS = ("T", "eta", "rt", "kt", "target_mode")

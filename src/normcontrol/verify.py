@@ -23,6 +23,7 @@ from .optim import OptimizerConfig, OptimizerState, Variant
 from .params import ParamGroup, ParamStore
 from .schedules import (
     CosineSpec,
+    EtaTiedKt,
     PiecewiseLinearSpec,
     ScheduleSpec,
     TargetNormMode,
@@ -65,9 +66,15 @@ def oracle_controlled_norm(theta: list[float], controlled: list[bool]) -> float:
     return biggest * math.sqrt(acc)
 
 
+def _controlled_flags(store: ParamStore) -> np.ndarray:
+    """Per-element controlled flags, expanded from the store's groups."""
+    return np.repeat(np.array([g.controlled for g in store.groups], dtype=bool),
+                     np.array([g.length for g in store.groups], dtype=np.intp))
+
+
 def oracle_from_store(store: ParamStore, state: OptimizerState | None = None) -> OracleState:
     theta = [float(x) for x in store.theta]
-    controlled = [bool(b) for b in store.controlled_mask]
+    controlled = _controlled_flags(store).tolist()
     if state is None:
         t, m, v = 0, [0.0] * len(theta), [0.0] * len(theta)
     else:
@@ -186,45 +193,6 @@ def _all_finite(*arrays) -> bool:
     return all(np.all(np.isfinite(np.asarray(a, dtype=float))) for a in arrays)
 
 
-class _FixedSched:
-    """Constant-valued schedule stand-in for driving single steps."""
-
-    def __init__(self, eta: float, r: float, k: float,
-                 mode: TargetNormMode = TargetNormMode.RELATIVE):
-        self._eta, self._r, self._k = eta, r, k
-        self.target_mode = mode
-
-    def eta_at(self, t):
-        return self._eta
-
-    def rt_at(self, t):
-        return self._r
-
-    def kt_at(self, t):
-        return self._k
-
-
-class _DerivedKtSched:
-    """kt tied to the eta schedule: k_t = eta_t * scale, with r_t = 0.
-
-    This expresses the decay variants as norm-control parameter choices.
-    """
-
-    def __init__(self, base: ScheduleSpec, scale: float):
-        self._base = base
-        self._scale = scale
-        self.target_mode = TargetNormMode.RELATIVE
-
-    def eta_at(self, t):
-        return self._base.eta_at(t)
-
-    def rt_at(self, t):
-        return 0.0
-
-    def kt_at(self, t):
-        return self._base.eta_at(t) * self._scale
-
-
 def _random_store(rng: np.random.Generator, max_dim: int = 1000,
                   with_uncontrolled: bool = True) -> ParamStore:
     dim = int(rng.integers(1, max_dim + 1))
@@ -262,7 +230,7 @@ def _check_ratio_at_init(rng: np.random.Generator) -> str | None:
 
 def _check_uncontrolled_mutation(rng: np.random.Generator) -> str | None:
     store = _random_store(rng)
-    mask = ~store.controlled_mask
+    mask = ~_controlled_flags(store)
     if not mask.any():
         return None
     before = store.controlled_norm()
@@ -319,7 +287,8 @@ def _check_convex_combination(rng: np.random.Generator) -> str | None:
     store = _random_store(rng)
     if store.initial_norm == 0.0:
         return None
-    store.theta[store.controlled_mask] += rng.normal(size=int(store.controlled_mask.sum()))
+    flags = _controlled_flags(store)
+    store.theta[flags] += rng.normal(size=int(flags.sum()))
     n = store.controlled_norm()
     if n < optim.ZERO_NORM_EPS:
         return None
@@ -405,14 +374,8 @@ def _random_cfg(rng: np.random.Generator, variant: Variant) -> OptimizerConfig:
 
 
 def _oracle_single_step_check(rng: np.random.Generator, variant: Variant) -> str | None:
-    dim = int(rng.integers(1, 17))
-    theta = rng.normal(size=dim) * 10.0 ** rng.uniform(-2, 2)
-    if dim >= 2 and rng.random() < 0.5:
-        cut = int(rng.integers(1, dim))
-        groups = [ParamGroup("w", 0, cut, True), ParamGroup("u", cut, dim - cut, False)]
-    else:
-        groups = [ParamGroup("w", 0, dim, True)]
-    store = ParamStore(theta, groups)
+    store = _random_store(rng, max_dim=16)
+    dim = store.theta.size
     t_prev = int(rng.integers(0, 50))
     if t_prev == 0:
         state = OptimizerState.zeros(dim)  # moments start at zero, per contract
@@ -426,7 +389,8 @@ def _oracle_single_step_check(rng: np.random.Generator, variant: Variant) -> str
     r = float(rng.uniform(0.0, 2.5)) if rng.random() < 0.8 else 0.0
     k = float(rng.uniform(0.0, 1.0))
     cfg = _random_cfg(rng, variant)
-    sched = _FixedSched(eta, r, k)
+    sched = ScheduleSpec(horizon=t_prev + 1, eta=CosineSpec(eta, eta),
+                         rt=PiecewiseLinearSpec.const(r), kt=PiecewiseLinearSpec.const(k))
 
     optim.step(store, state, g, t_prev + 1, sched, cfg)
     oracle_step(oracle, g, t_prev + 1, eta, r, k, cfg)
@@ -477,8 +441,7 @@ def _decay_equivalence_check(rng: np.random.Generator, coupled: bool) -> str | N
     variant = Variant.DECAY_COUPLED_LR if coupled else Variant.DECAY_DECOUPLED
     cfg_a = OptimizerConfig(weight_decay=lam, variant=variant)
     cfg_c = OptimizerConfig(weight_decay=lam, variant=Variant.NORM_CONTROL)
-    scale = cfg_a.alpha * lam if coupled else lam
-    sched_c = _DerivedKtSched(base, scale)
+    sched_c = EtaTiedKt(base, (cfg_a.alpha, lam) if coupled else (lam,))
 
     grads = rng.normal(size=(horizon, dim))
     store_a = ParamStore(theta0.copy(), [ParamGroup("w", 0, dim, True)])

@@ -23,9 +23,9 @@ from normcontrol.optim import (
 from normcontrol.params import ParamGroup, ParamStore
 from normcontrol.schedules import (
     CosineSpec,
+    EtaTiedKt,
     PiecewiseLinearSpec,
     ScheduleSpec,
-    TargetNormMode,
     cosine_value,
 )
 from normcontrol.tasks import build_task, finite_diff_check
@@ -60,25 +60,6 @@ def _mlp_config(variant, lam=0.0, T=3000, rt=None, kt=0.01, eval_every=50, seed=
     )
 
 
-class _EtaTiedKt:
-    """Norm-control parameters reproducing a decay variant: r=0, k=eta*scale."""
-
-    target_mode = TargetNormMode.RELATIVE
-
-    def __init__(self, base, scale):
-        self.base = base
-        self.scale = scale
-
-    def eta_at(self, t):
-        return self.base.eta_at(t)
-
-    def rt_at(self, t):
-        return 0.0
-
-    def kt_at(self, t):
-        return self.base.eta_at(t) * self.scale
-
-
 def test_criterion_1_special_case_equivalence():
     t0 = time.perf_counter()
     T = 10_000
@@ -94,8 +75,7 @@ def test_criterion_1_special_case_equivalence():
             variant=Variant.DECAY_COUPLED_LR if coupled else Variant.DECAY_DECOUPLED,
         )
         cfg_nc = OptimizerConfig(weight_decay=lam, variant=Variant.NORM_CONTROL)
-        scale = cfg_decay.alpha * lam if coupled else lam
-        tied = _EtaTiedKt(base, scale)
+        tied = EtaTiedKt(base, (cfg_decay.alpha, lam) if coupled else (lam,))
 
         store_a = ParamStore(theta0.copy(), task.groups)
         store_b = ParamStore(theta0.copy(), task.groups)

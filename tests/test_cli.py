@@ -84,9 +84,13 @@ def test_missing_file_exit_code(tmp_path):
 
 
 def test_validation_error_exit_code(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("task = mlp\nT = 10\nkt = const(2.0)\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    # norm_control is the variant that used to ignore a non-finite lambda
+    for line in ["kt = const(2.0)", "alpha = nan", "alpha = inf", "epsilon = nan",
+                 "epsilon = inf", "lambda = nan", "lambda = inf", "rt = const(nan)",
+                 "rt = const(inf)", "rt = linear(0:1.0, 5:nan)", "kt = const(nan)"]:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"task = mlp\nT = 10\nvariant = norm_control\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, line
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -22,6 +22,7 @@ from normcontrol.schedules import (
     PiecewiseLinearSpec,
     ScheduleSpec,
     ScheduleParseError,
+    TargetNormMode,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -61,13 +62,18 @@ class TestRun:
     def test_trace_self_consistency(self):
         cfg = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=150, eval_every=25,
                           rt=PiecewiseLinearSpec.linear([(0, 1.0), (50, 2.0)]))
-        trace = run(cfg)
-        ts = [r.t for r in trace.rows]
-        assert ts == sorted(ts) and len(set(ts)) == len(ts)
-        for row in trace.rows:
-            assert row.target_norm == row.r_t * trace.initial_norm
-            assert abs(row.norm_ratio * trace.initial_norm - row.actual_norm) \
-                <= 1e-12 * row.actual_norm
+        for mode in TargetNormMode:
+            cfg.schedules = replace(cfg.schedules, target_mode=mode)
+            trace = run(cfg)
+            ts = [r.t for r in trace.rows]
+            assert ts == sorted(ts) and len(set(ts)) == len(ts)
+            for row in trace.rows:
+                if mode is TargetNormMode.RELATIVE:
+                    assert row.target_norm == row.r_t * trace.initial_norm
+                else:
+                    assert row.target_norm == row.r_t
+                assert abs(row.norm_ratio * trace.initial_norm - row.actual_norm) \
+                    <= 1e-12 * row.actual_norm
 
     def test_logs_every_eval_every_and_final_step(self):
         trace = run(make_config(T=105, eval_every=25))

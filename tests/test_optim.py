@@ -17,7 +17,7 @@ from normcontrol.optim import (
     step,
 )
 from normcontrol.params import ParamGroup, ParamStore
-from normcontrol.schedules import PiecewiseLinearSpec, ScheduleSpec, TargetNormMode
+from normcontrol.schedules import EtaTiedKt, PiecewiseLinearSpec, ScheduleSpec, TargetNormMode
 
 EPS = np.finfo(np.float64).eps
 
@@ -231,28 +231,6 @@ class TestCoupledSgd:
         assert store.theta[1] == pytest.approx(1.9)
 
 
-class _EtaTiedKt:
-    """Schedules expressing a decay variant as norm-control parameters."""
-
-    target_mode = TargetNormMode.RELATIVE
-
-    def __init__(self, base, alpha0, lam, coupled):
-        self.base = base
-        self.alpha0 = alpha0
-        self.lam = lam
-        self.coupled = coupled
-
-    def eta_at(self, t):
-        return self.base.eta_at(t)
-
-    def rt_at(self, t):
-        return 0.0
-
-    def kt_at(self, t):
-        eta = self.base.eta_at(t)
-        return eta * self.alpha0 * self.lam if self.coupled else eta * self.lam
-
-
 def _run_steps(variant, sched, lam, grads):
     dim = grads.shape[1]
     store = one_group_store(np.linspace(-1.0, 1.0, dim) + 0.1)
@@ -271,7 +249,7 @@ def test_step_decay_is_special_case_of_norm_control(coupled):
     base = ScheduleSpec(horizon=200)
     decay_variant = Variant.DECAY_COUPLED_LR if coupled else Variant.DECAY_DECOUPLED
     theta_decay = _run_steps(decay_variant, base, lam, grads)
-    tied = _EtaTiedKt(base, OptimizerConfig().alpha, lam, coupled)
+    tied = EtaTiedKt(base, (OptimizerConfig().alpha, lam) if coupled else (lam,))
     theta_nc = _run_steps(Variant.NORM_CONTROL, tied, lam, grads)
     assert np.array_equal(theta_decay, theta_nc)  # bitwise by construction
 

@@ -5,11 +5,10 @@ import pytest
 
 from normcontrol.optim import OptimizerConfig, OptimizerState, Variant, step
 from normcontrol.params import ParamGroup, ParamStore
-from normcontrol.schedules import PiecewiseLinearSpec, ScheduleSpec
+from normcontrol.schedules import CosineSpec, PiecewiseLinearSpec, ScheduleSpec
 from normcontrol.verify import (
     PropertyResult,
     SuiteReport,
-    _FixedSched,
     oracle_controlled_norm,
     oracle_from_store,
     oracle_step,
@@ -53,7 +52,8 @@ def test_single_step_agreement(variant):
         oracle = oracle_from_store(store, state)
         g = rng.normal(size=dim)
         cfg = OptimizerConfig(weight_decay=0.2, variant=variant)
-        sched = _FixedSched(0.7, 1.5, 0.3)
+        sched = ScheduleSpec(horizon=1, eta=CosineSpec(0.7, 0.7), rt=PiecewiseLinearSpec.const(1.5),
+                             kt=PiecewiseLinearSpec.const(0.3))
         step(store, state, g, 1, sched, cfg)
         oracle_step(oracle, g, 1, 0.7, 1.5, 0.3, cfg)
         for i in range(dim):
@@ -104,8 +104,10 @@ def test_near_zero_theta_with_positive_target_stays_finite():
                        initial_norm=1.0)
     state = OptimizerState.zeros(dim)
     cfg = OptimizerConfig(variant=Variant.NORM_CONTROL)
+    sched = ScheduleSpec(horizon=1, eta=CosineSpec(1.0, 1.0), rt=PiecewiseLinearSpec.const(2.0),
+                         kt=PiecewiseLinearSpec.const(0.5))
     with pytest.warns(RuntimeWarning):
-        step(store, state, np.zeros(dim), 1, _FixedSched(1.0, 2.0, 0.5), cfg)
+        step(store, state, np.zeros(dim), 1, sched, cfg)
     assert np.all(np.isfinite(store.theta))
 
     oracle = oracle_from_store(store)
