@@ -203,8 +203,10 @@ def initialize_run(config: RunConfig):
 def run(config: RunConfig) -> RunTrace:
     """Execute the full training loop and return the logged trace.
 
-    Logs every eval_every steps and at the final step. Any component error,
-    or a non-finite loss, aborts with the failing step index.
+    Logs every eval_every steps and at the final step; the controlled norm
+    is measured for those rows only. Any component error, or a non-finite
+    loss or gradient, aborts with the failing step index before the
+    optimizer sees that step's gradient.
     """
     task, store, rng = initialize_run(config)
     state = OptimizerState.zeros(store.theta.size)
@@ -216,11 +218,14 @@ def run(config: RunConfig) -> RunTrace:
             train_loss, g = task.loss_and_grad(store.theta, batch)
             if not math.isfinite(train_loss):
                 raise FloatingPointError(f"non-finite training loss {train_loss}")
+            if not np.isfinite(g).all():
+                raise FloatingPointError("non-finite gradient")
             report = optim.step(store, state, g, t, sched, config.optimizer)
         except Exception as e:
             raise RuntimeError(f"run aborted at step {t}: {e}") from e
         if t % config.eval_every == 0 or t == config.steps:
             val_loss, _ = task.loss_and_grad(store.theta, task.val_batch())
+            norm = store.controlled_norm()
             rows.append(TraceRow(
                 t=t,
                 train_loss=train_loss,
@@ -229,8 +234,8 @@ def run(config: RunConfig) -> RunTrace:
                 r_t=report.r_t,
                 k_t=report.k_t,
                 target_norm=report.target_norm,
-                actual_norm=report.post_norm,
-                norm_ratio=report.post_norm / store.initial_norm,
+                actual_norm=norm,
+                norm_ratio=norm / store.initial_norm,
                 grad_norm=float(np.linalg.norm(g)),
             ))
     return RunTrace(rows, store.initial_norm)

@@ -90,8 +90,7 @@ class StepReport:
     r_t: float
     k_t: float
     target_norm: float  # what r_t asks for under sched.target_mode, for every variant
-    pre_norm: float
-    post_norm: float
+    scale: float  # factor applied to the controlled groups by the regularization (1.0: none)
 
 
 def adam_moment_update(
@@ -101,20 +100,27 @@ def adam_moment_update(
 
     Expects state.t already incremented for the current step. At t == 1 the
     correction cancels algebraically (m = (1-b1)g, divisor 1-b1), so the
-    divide is skipped to keep m_hat == g and v_hat == g*g bitwise.
+    divide is skipped to keep m_hat == g and v_hat == g*g bitwise. The two
+    returned arrays are the only ones allocated; they also hold the
+    (1-b1)g and (1-b2)g*g terms on the way.
     """
     if state.t < 1:
         raise ValueError("state.t must be incremented before the moment update")
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
+    m_hat = np.multiply(g, 1.0 - cfg.beta1, out=np.empty_like(state.m))
     state.m *= cfg.beta1
-    state.m += (1.0 - cfg.beta1) * g
+    state.m += m_hat
+    v_hat = np.multiply(g, g, out=np.empty_like(state.v))
+    v_hat *= 1.0 - cfg.beta2
     state.v *= cfg.beta2
-    state.v += (1.0 - cfg.beta2) * (g * g)
+    state.v += v_hat
     if state.t == 1:
-        return g.copy(), g * g
-    m_hat = state.m / (1.0 - cfg.beta1**state.t)
-    v_hat = state.v / (1.0 - cfg.beta2**state.t)
+        m_hat[...] = g
+        np.multiply(g, g, out=v_hat)
+    else:
+        np.divide(state.m, 1.0 - cfg.beta1**state.t, out=m_hat)
+        np.divide(state.v, 1.0 - cfg.beta2**state.t, out=v_hat)
     return m_hat, v_hat
 
 
@@ -125,17 +131,30 @@ def adam_param_update(
     eta_t: float,
     cfg: OptimizerConfig,
 ) -> None:
-    """theta -= eta_t * alpha * m_hat / (sqrt(v_hat) + eps), on all groups."""
+    """theta -= eta_t * alpha * m_hat / (sqrt(v_hat) + eps), on all groups.
+
+    Works in place on the m_hat and v_hat it is given, which hold
+    temporaries afterwards; the order of operations is that of the formula.
+    """
     if m_hat.shape != store.theta.shape or v_hat.shape != store.theta.shape:
         raise ValueError("moment shapes do not match parameter vector")
-    store.theta -= eta_t * cfg.alpha * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    m_hat *= eta_t * cfg.alpha
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += cfg.epsilon
+    m_hat /= v_hat
+    store.theta -= m_hat
 
 
-def regularize_decay(store: ParamStore, rate: float) -> None:
-    """Multiplicative decay theta *= (1 - rate) on controlled groups only."""
+def regularize_decay(store: ParamStore, rate: float) -> float:
+    """Multiplicative decay theta *= (1 - rate) on controlled groups only.
+
+    Returns the factor applied, 1 - rate.
+    """
     if rate < 0.0:
         raise ValueError(f"decay rate must be >= 0, got {rate}")
-    store.scale_controlled(1.0 - rate)
+    factor = 1.0 - rate
+    store.scale_controlled(factor)
+    return factor
 
 
 def regularize_norm_control(
@@ -143,22 +162,23 @@ def regularize_norm_control(
     r_t: float,
     k_t: float,
     mode: TargetNormMode = TargetNormMode.RELATIVE,
-) -> None:
-    """Move the controlled norm toward its target at rate k_t.
+) -> float:
+    """Move the controlled norm toward its target at rate k_t; return the factor.
 
     The target is r_t * ||theta_0|| (relative mode) or r_t itself (absolute
     mode). The controlled vector is scaled by the convex blend
     (1 - k_t) + k_t * target/norm, so the resulting norm is exactly
     (1 - k_t) * norm + k_t * target in real arithmetic, and k_t = 1 projects
-    straight onto the target. r_t = 0 reduces to plain decay with no division.
+    straight onto the target. r_t = 0 reduces to plain decay with no division
+    and no norm measurement. A (near) zero controlled norm is left as it is,
+    with a warning, and the factor returned is 1.0.
     """
     if not 0.0 <= k_t <= 1.0:
         raise ValueError(f"k_t must be in [0, 1], got {k_t}")
     if r_t < 0.0:
         raise ValueError(f"r_t must be >= 0, got {r_t}")
     if r_t == 0.0:
-        store.scale_controlled(1.0 - k_t)
-        return
+        return regularize_decay(store, k_t)
     n = store.controlled_norm()
     if n < ZERO_NORM_EPS:
         # The zero vector is a fixed point of any rescaling; nothing to do.
@@ -167,29 +187,32 @@ def regularize_norm_control(
             RuntimeWarning,
             stacklevel=2,
         )
-        return
+        return 1.0
     target = mode.target(r_t, store.initial_norm)
     factor = (1.0 - k_t) + k_t * (target / n)
     store.scale_controlled(factor)
+    return factor
 
 
 def sgd_step_coupled_decay(
     store: ParamStore, g: np.ndarray, alpha: float, weight_decay: float
-) -> None:
+) -> float:
     """One fused SGD step theta = (1 - lam) * theta - alpha * g.
 
     The decay term applies to controlled groups; uncontrolled groups get the
-    plain gradient step.
+    plain gradient step. Returns the decay factor, 1 - lam.
     """
     if g.shape != store.theta.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape {store.theta.shape}")
     theta = store.theta
+    factor = 1.0 - weight_decay
     for group in store.groups:
         s = group.slice
         if group.controlled:
-            theta[s] = (1.0 - weight_decay) * theta[s] - alpha * g[s]
+            theta[s] = factor * theta[s] - alpha * g[s]
         else:
             theta[s] -= alpha * g[s]
+    return factor
 
 
 def step(
@@ -203,7 +226,8 @@ def step(
     """Run one full optimizer step for step index t (1-based).
 
     ``sched`` is anything with eta_at/rt_at/kt_at methods and a target_mode
-    attribute, normally a ScheduleSpec.
+    attribute, normally a ScheduleSpec. The controlled norm is measured only
+    where norm control with r_t > 0 needs it: once in that case, else never.
     """
     if t != state.t + 1:
         raise ValueError(f"step index {t} not consecutive with state.t={state.t}")
@@ -211,20 +235,21 @@ def step(
     eta_t = sched.eta_at(t)
     r_t = sched.rt_at(t)
     k_t = sched.kt_at(t)
-    pre_norm = store.controlled_norm()
+    scale = 1.0
 
     if cfg.variant is Variant.COUPLED_SGD:
         # Fused decay + gradient step; no moments, no schedule multiplier.
-        sgd_step_coupled_decay(store, g, cfg.alpha, cfg.weight_decay)
+        scale = sgd_step_coupled_decay(store, g, cfg.alpha, cfg.weight_decay)
     else:
         m_hat, v_hat = adam_moment_update(state, g, cfg)
         adam_param_update(store, m_hat, v_hat, eta_t, cfg)
+        del m_hat, v_hat  # not live during the regularization's norm pass
         if cfg.variant is Variant.DECAY_COUPLED_LR:
-            regularize_decay(store, eta_t * cfg.alpha * cfg.weight_decay)
+            scale = regularize_decay(store, eta_t * cfg.alpha * cfg.weight_decay)
         elif cfg.variant is Variant.DECAY_DECOUPLED:
-            regularize_decay(store, eta_t * cfg.weight_decay)
+            scale = regularize_decay(store, eta_t * cfg.weight_decay)
         elif cfg.variant is Variant.NORM_CONTROL:
-            regularize_norm_control(store, r_t, k_t, sched.target_mode)
+            scale = regularize_norm_control(store, r_t, k_t, sched.target_mode)
 
     return StepReport(
         t=t,
@@ -232,6 +257,5 @@ def step(
         r_t=r_t,
         k_t=k_t,
         target_norm=sched.target_mode.target(r_t, store.initial_norm),
-        pre_norm=pre_norm,
-        post_norm=store.controlled_norm(),
+        scale=scale,
     )

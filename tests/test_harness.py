@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from normcontrol import cli, harness, optim
 from normcontrol.harness import (
     RunConfig,
     RunTrace,
@@ -17,6 +18,7 @@ from normcontrol.harness import (
     schedule_table_csv,
 )
 from normcontrol.optim import OptimizerConfig, Variant
+from normcontrol.params import ParamStore
 from normcontrol.schedules import (
     CosineSpec,
     PiecewiseLinearSpec,
@@ -85,6 +87,49 @@ class TestRun:
         cfg.optimizer = OptimizerConfig(alpha=1e160, variant=Variant.NONE)
         with pytest.raises(RuntimeError, match="aborted at step"):
             run(cfg)
+
+    def test_nonfinite_gradient_aborts_before_the_optimizer(self, monkeypatch, tmp_path):
+        build = harness.build_task
+
+        def nan_gradient_at_step_3(*args, **kwargs):
+            task = build(*args, **kwargs)
+            loss_and_grad, calls = task.loss_and_grad, []
+
+            def poisoned(theta, batch):
+                loss, g = loss_and_grad(theta, batch)
+                calls.append(None)
+                if len(calls) == 3:
+                    g = g.copy()
+                    g[0] = math.nan
+                return loss, g  # the loss stays finite
+
+            task.loss_and_grad = poisoned
+            return task
+
+        monkeypatch.setattr(harness, "build_task", nan_gradient_at_step_3)
+        optimizer_step, stepped = optim.step, []
+        monkeypatch.setattr(optim, "step", lambda *a: stepped.append(a[3]) or optimizer_step(*a))
+        with pytest.raises(RuntimeError, match="aborted at step 3: non-finite gradient"):
+            run(make_config(T=10, eval_every=100))
+        assert stepped == [1, 2]
+        cfg = tmp_path / "nan_grad.cfg"
+        cfg.write_text("task = quadratic\nT = 10\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+
+    def test_norm_measured_once_per_rt_positive_step_and_eval_row(self, monkeypatch):
+        calls = []
+        measure = ParamStore.controlled_norm
+        monkeypatch.setattr(ParamStore, "controlled_norm",
+                            lambda self: calls.append(None) or measure(self))
+        rt = PiecewiseLinearSpec.linear([(0, 0.0), (40, 0.0), (100, 1.5)])
+        rt_positive = sum(rt.value_at(t) > 0.0 for t in range(1, 151))  # t = 41..150
+        for variant, measured_steps in ((Variant.NORM_CONTROL, rt_positive),
+                                        (Variant.DECAY_DECOUPLED, 0)):
+            cfg = make_config(task="mlp", variant=variant, T=150, eval_every=25, lam=0.1, rt=rt)
+            calls.clear()
+            trace = run(cfg)
+            # one more call: the initial norm, measured when the store is built
+            assert len(calls) == measured_steps + len(trace.rows) + 1, variant
 
     def test_csv_roundtrip(self):
         trace = run(make_config(T=120, eval_every=40))

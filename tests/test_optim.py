@@ -278,17 +278,94 @@ def test_step_rejects_nonconsecutive_t():
 
 
 def test_step_report_fields():
+    # zero gradient: Adam leaves theta alone, then the blend 0.5 + 0.5 * 10/5 applies
     store = one_group_store([3.0, 4.0])
     state = OptimizerState.zeros(2)
-    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(1.0),
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(2.0),
                          kt=PiecewiseLinearSpec.const(0.5))
     cfg = OptimizerConfig(variant=Variant.NORM_CONTROL)
     report = step(store, state, np.array([0.0, 0.0]), 1, sched, cfg)
     assert report.t == 1 and state.t == 1
-    assert report.pre_norm == 5.0
     assert report.eta_t == sched.eta_at(1)
-    assert report.r_t == 1.0 and report.k_t == 0.5
-    assert report.post_norm == store.controlled_norm()
+    assert report.r_t == 2.0 and report.k_t == 0.5
+    assert report.target_norm == 10.0
+    assert report.scale == 1.5
+    assert list(store.theta) == [4.5, 6.0]
+
+
+def test_regularizers_return_the_applied_factor():
+    assert regularize_decay(one_group_store([2.0]), 0.25) == 0.75
+    assert sgd_step_coupled_decay(one_group_store([2.0]), np.array([1.0]), 0.1, 0.5) == 0.5
+    assert regularize_norm_control(one_group_store([3.0, 4.0]), 0.0, 0.1) == 1.0 - 0.1
+    assert regularize_norm_control(one_group_store([3.0, 4.0], initial_norm=5.0), 2.0, 0.5) == 1.5
+    with pytest.warns(RuntimeWarning, match="norm control skipped"):
+        assert regularize_norm_control(one_group_store([0.0], initial_norm=1.0), 1.5, 0.5) == 1.0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_step_report_scale_is_the_factor_on_controlled_groups(variant):
+    rng = np.random.default_rng(5)
+    lam, k = 0.2, 0.3
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(1.5),
+                         kt=PiecewiseLinearSpec.const(k))
+    store = mixed_store(rng.normal(size=6), rng.normal(size=3))
+    state = OptimizerState.zeros(9)
+    g = rng.normal(size=9)
+    cfg = OptimizerConfig(weight_decay=lam, variant=variant)
+    # The same step without regularization: what the factor multiplies.
+    bare, bare_state = store.snapshot(), OptimizerState.zeros(9)
+    step(bare, bare_state, g, 1, sched, OptimizerConfig(weight_decay=lam))
+    report = step(store, state, g, 1, sched, cfg)
+    eta = sched.eta_at(1)
+    expected = {
+        Variant.NONE: 1.0,
+        Variant.DECAY_COUPLED_LR: 1.0 - eta * cfg.alpha * lam,
+        Variant.DECAY_DECOUPLED: 1.0 - eta * lam,
+        Variant.NORM_CONTROL: (1.0 - k) + k * (1.5 * store.initial_norm / bare.controlled_norm()),
+        Variant.COUPLED_SGD: 1.0 - lam,
+    }[variant]
+    assert report.scale == expected
+    if variant is not Variant.COUPLED_SGD:
+        assert np.array_equal(store.theta[:6], bare.theta[:6] * report.scale)
+        assert np.array_equal(store.theta[6:], bare.theta[6:])
+
+
+@pytest.mark.parametrize("coupled", [True, False])
+def test_decay_equivalent_norm_control_reports_equal_scale(coupled):
+    rng = np.random.default_rng(13)
+    lam = 0.1
+    base = ScheduleSpec(horizon=100)
+    decay_cfg = OptimizerConfig(weight_decay=lam, variant=(Variant.DECAY_COUPLED_LR if coupled
+                                                           else Variant.DECAY_DECOUPLED))
+    nc_cfg = OptimizerConfig(weight_decay=lam, variant=Variant.NORM_CONTROL)
+    tied = EtaTiedKt(base, (decay_cfg.alpha, lam) if coupled else (lam,))
+    stores = [one_group_store(rng.normal(size=5)) for _ in range(2)]
+    stores[1].theta[:] = stores[0].theta
+    states = [OptimizerState.zeros(5), OptimizerState.zeros(5)]
+    for t in range(1, 101):
+        g = rng.normal(size=5)
+        a = step(stores[0], states[0], g, t, base, decay_cfg)
+        b = step(stores[1], states[1], g, t, tied, nc_cfg)
+        assert a.scale == b.scale, t  # bitwise: both are 1 - eta_t * alpha0 * lam (or 1 - eta_t * lam)
+        assert a.scale < 1.0
+
+
+@pytest.mark.parametrize("r", [0.0, 1.5])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_controlled_norm_calls_per_step(variant, r, monkeypatch):
+    store = mixed_store([3.0, 4.0], [1.0])
+    state = OptimizerState.zeros(3)
+    calls = []
+    measure = ParamStore.controlled_norm
+    monkeypatch.setattr(ParamStore, "controlled_norm",
+                        lambda self: calls.append(None) or measure(self))
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(r),
+                         kt=PiecewiseLinearSpec.const(0.1))
+    cfg = OptimizerConfig(weight_decay=0.1, variant=variant)
+    for t in range(1, 4):
+        step(store, state, np.array([0.1, -0.2, 0.3]), t, sched, cfg)
+    per_step = 1 if variant is Variant.NORM_CONTROL and r > 0.0 else 0
+    assert len(calls) == 3 * per_step
 
 
 def test_config_validation():

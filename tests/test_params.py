@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normcontrol import optim
+from normcontrol import optim, params
 from normcontrol.optim import OptimizerConfig, OptimizerState, Variant
 from normcontrol.params import ParamGroup, ParamStore
 from normcontrol.schedules import CosineSpec, PiecewiseLinearSpec, ScheduleSpec
@@ -170,3 +170,64 @@ def test_interleaved_groups(store_flags, c, seed):
         oracle_step(oracle, g, 1, eta, r, k, cfg)
         for got, want in zip(prod.theta.tolist(), oracle.theta):
             assert abs(got - want) <= max(1e-13 * max(abs(got), abs(want)), 1e-15), variant
+
+
+def _fsum_norm(x: np.ndarray) -> float:
+    """The reference: ldexp(sqrt(fsum(y * y)), exp) with y = x / 2**exp."""
+    biggest = float(np.max(np.abs(x))) if x.size else 0.0
+    if biggest == 0.0:
+        return 0.0
+    if math.isinf(biggest):
+        return math.inf
+    exp = math.frexp(biggest)[1]
+    y = x / math.ldexp(1.0, exp)
+    return math.ldexp(math.sqrt(math.fsum((y * y).tolist())), exp)
+
+
+def _store_with_controlled(rng, controlled: np.ndarray) -> ParamStore:
+    """1-8 controlled groups holding `controlled`, with uncontrolled groups between."""
+    n_groups = int(rng.integers(1, min(8, max(controlled.size, 1)) + 1))
+    cuts = np.sort(rng.integers(0, controlled.size + 1, n_groups - 1)).tolist()
+    parts = np.split(controlled, cuts)
+    groups, chunks, offset = [], [], 0
+    for i, part in enumerate(parts):
+        gap = rng.normal(size=int(rng.integers(0, 40))) * 1e200
+        for vals, flag in ((gap, False), (part, True)):
+            groups.append(ParamGroup(f"g{i}{flag}", offset, vals.size, flag))
+            chunks.append(vals)
+            offset += vals.size
+    return ParamStore(np.concatenate(chunks), groups)
+
+
+@pytest.mark.parametrize("size", [
+    params._EXACT_CUTOFF - 1, params._EXACT_CUTOFF, params._EXACT_CUTOFF + 1,
+    params._BLOCK - 1, params._BLOCK, params._BLOCK + 1, 3 * params._BLOCK + 7,
+])
+def test_controlled_norm_bitwise_equals_fsum_formula(size):
+    rng = np.random.default_rng(size)
+    for magnitude in (1e-320, 1e-300, 1e-150, 1e-5, 1.0, 1e150, 1e300):
+        x = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size) * magnitude
+        x[rng.random(size) < 0.2] = 0.0
+        store = _store_with_controlled(rng, x)
+        assert store.controlled_norm() == _fsum_norm(x), magnitude
+    zeros = _store_with_controlled(rng, np.zeros(size))
+    assert zeros.controlled_norm() == 0.0
+    for bad, want in (([math.inf], math.inf), ([-math.inf], math.inf),
+                      ([math.nan], math.nan), ([math.inf, math.nan], math.nan)):
+        x = rng.normal(size=size)
+        x[rng.choice(size, len(bad), replace=False)] = bad
+        got = _store_with_controlled(rng, x).controlled_norm()
+        assert got == want or (math.isnan(got) and math.isnan(want)), bad
+
+
+def test_exact_tie_reaches_the_fsum_fallback():
+    # Squares 0.25 + 2 * 2**-56 lie exactly halfway between 0.25 and the next
+    # double, so no error bound can certify the rounding; fsum rounds to even.
+    x = np.zeros(params._EXACT_CUTOFF + 1)
+    x[0], x[1], x[2] = 0.5, 2.0**-28, 2.0**-28
+    squares = x * x
+    assert params._certified_sum([squares.copy()], squares.size) is None
+    assert math.fsum(squares.tolist()) == 0.25
+    assert ParamStore(x, [ParamGroup("w", 0, x.size)]).controlled_norm() == 0.5
+    squares[3] = 2.0**-60  # off the tie: certified, and still fsum's value
+    assert params._certified_sum([squares.copy()], squares.size) == math.fsum(squares.tolist())
