@@ -17,8 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, tasks, verify
+from .harness import RunConfig
+from .schedules import SCHEDULE_KEYS, ScheduleSpec, parse_assignments
 
 GRAD_TOLERANCES = {"quadratic": 1e-9, "logistic": 1e-6, "mlp": 1e-5}
+
+
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo (argparse exits 2 otherwise)."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,11 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("check-grad", help="check analytic gradients and core properties")
     p_grad.add_argument("--task", required=True, choices=list(tasks.TASK_NAMES) + ["all"])
-    p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--dim", type=int, default=8)
-    p_grad.add_argument("--hidden", type=int, default=16)
+    p_grad.add_argument("--seed", type=int, default=RunConfig.seed)
+    p_grad.add_argument("--dim", type=_int_at_least(1), default=RunConfig.dim)
+    p_grad.add_argument("--hidden", type=_int_at_least(1), default=RunConfig.hidden)
     p_grad.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
-    p_grad.add_argument("--properties", type=int, default=0, metavar="CASES",
+    p_grad.add_argument("--properties", type=_int_at_least(0), default=0, metavar="CASES",
                         help="also run the invariant property suite with CASES cases")
     return p
 
@@ -87,9 +99,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    from .schedules import parse_schedule_spec
-
-    spec = parse_schedule_spec(Path(args.config).read_text(), extra_keys_ok=True)
+    # A run config or a schedule-only file: run keys are skipped unread, others rejected.
+    keys = dict.fromkeys(harness.RUN_KEYS) | SCHEDULE_KEYS
+    spec = ScheduleSpec(**parse_assignments(Path(args.config).read_text(), keys)[ScheduleSpec])
     csv_text = harness.schedule_table_csv(spec, args.stride)
     Path(args.out).write_text(csv_text)
     print(f"wrote {args.out}: {csv_text.count(chr(10)) - 1} rows")
@@ -103,7 +115,7 @@ def _cmd_check_grad(args) -> int:
         rng = np.random.default_rng(args.seed)
         task = tasks.build_task(name, args.dim, args.hidden, rng)
         theta = task.init_theta(rng)
-        batch = task.sample_batch(rng, 32)
+        batch = task.sample_batch(rng, RunConfig.batch_size)
         err = tasks.finite_diff_check(task, theta, batch, h=args.h, rng=rng)
         tol = GRAD_TOLERANCES[name]
         status = "ok" if err <= tol else "FAIL"

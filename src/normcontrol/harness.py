@@ -31,31 +31,13 @@ from .params import ParamStore
 from .schedules import (
     SCHEDULE_KEYS,
     PiecewiseLinearSpec,
-    ScheduleParseError,
     ScheduleSpec,
-    parse_schedule_spec,
-    split_assignments,
+    parse_assignments,
+    parse_choice,
 )
 from .tasks import build_task
 
 TRACE_HEADER = "t,train_loss,val_loss,eta_t,r_t,k_t,target_norm,actual_norm,norm_ratio,grad_norm"
-
-RUN_KEY_DEFAULTS = {
-    "task": None,  # required
-    "dim": 8,
-    "hidden": 16,
-    "batch_size": 32,
-    "seed": 0,
-    "eval_every": 100,
-    "variant": "none",
-    "lambda": 0.0,
-    "alpha": 0.001,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "epsilon": 1e-8,
-    "control_biases": False,
-}
-
 
 @dataclass
 class RunConfig:
@@ -68,6 +50,11 @@ class RunConfig:
     seed: int = 0
     eval_every: int = 100
     control_biases: bool = False
+
+    def __post_init__(self):
+        for name in ("dim", "hidden", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
 
     @property
     def steps(self) -> int:
@@ -131,63 +118,40 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _parse_bool(value: str) -> bool:
+    if value.lower() in ("true", "1", "yes"):
+        return True
+    if value.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true or false, got {value!r}")
+
+
+# Run-config text key -> (dataclass, field, value parser); with
+# schedules.SCHEDULE_KEYS this is the whole config schema. Defaults and range
+# checks live in the dataclasses; task is required because it has no default.
+RUN_KEYS = {
+    "task": (RunConfig, "task", str),
+    "dim": (RunConfig, "dim", int),
+    "hidden": (RunConfig, "hidden", int),
+    "batch_size": (RunConfig, "batch_size", int),
+    "seed": (RunConfig, "seed", int),
+    "eval_every": (RunConfig, "eval_every", int),
+    "control_biases": (RunConfig, "control_biases", _parse_bool),
+    "variant": (OptimizerConfig, "variant", parse_choice(Variant)),
+    "lambda": (OptimizerConfig, "weight_decay", float),
+    "alpha": (OptimizerConfig, "alpha", float),
+    "beta1": (OptimizerConfig, "beta1", float),
+    "beta2": (OptimizerConfig, "beta2", float),
+    "epsilon": (OptimizerConfig, "epsilon", float),
+}
+
+
 def parse_run_config(text: str) -> RunConfig:
-    """Parse a full run config (run keys + schedule keys) from one file."""
-    values = dict(RUN_KEY_DEFAULTS)
-    for lineno, key, value in split_assignments(text):
-        if key in SCHEDULE_KEYS:
-            continue
-        if key not in RUN_KEY_DEFAULTS:
-            raise ScheduleParseError(lineno, f"unknown config key {key!r}")
-        try:
-            values[key] = _parse_run_value(key, value)
-        except ValueError as e:
-            raise ScheduleParseError(lineno, str(e)) from None
-    if values["task"] is None:
-        raise ValueError("task: missing required key")
-    schedules = parse_schedule_spec(text, extra_keys_ok=True)
-    try:
-        variant = Variant(values["variant"])
-    except ValueError:
-        raise ValueError(
-            f"variant: expected one of {[v.value for v in Variant]}, got {values['variant']!r}"
-        ) from None
-    opt_cfg = OptimizerConfig(
-        alpha=values["alpha"],
-        beta1=values["beta1"],
-        beta2=values["beta2"],
-        epsilon=values["epsilon"],
-        weight_decay=values["lambda"],
-        variant=variant,
-    )
-    return RunConfig(
-        task=values["task"],
-        schedules=schedules,
-        optimizer=opt_cfg,
-        dim=values["dim"],
-        hidden=values["hidden"],
-        batch_size=values["batch_size"],
-        seed=values["seed"],
-        eval_every=values["eval_every"],
-        control_biases=values["control_biases"],
-    )
-
-
-def _parse_run_value(key: str, value: str):
-    if key in ("dim", "hidden", "batch_size", "seed", "eval_every"):
-        n = int(value)
-        if key != "seed" and n <= 0:
-            raise ValueError(f"{key} must be a positive integer")
-        return n
-    if key in ("lambda", "alpha", "beta1", "beta2", "epsilon"):
-        return float(value)
-    if key == "control_biases":
-        if value.lower() in ("true", "1", "yes"):
-            return True
-        if value.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"control_biases must be true or false, got {value!r}")
-    return value  # task, variant: validated later
+    """Parse a full run config (run keys + schedule keys) in one pass."""
+    fields = parse_assignments(text, RUN_KEYS | SCHEDULE_KEYS)
+    return RunConfig(schedules=ScheduleSpec(**fields[ScheduleSpec]),
+                     optimizer=OptimizerConfig(**fields.get(OptimizerConfig, {})),
+                     **fields[RunConfig])
 
 
 def initialize_run(config: RunConfig):
@@ -272,20 +236,22 @@ def compare(config_a: RunConfig, config_b_template: RunConfig,
     """Run a decay reference, calibrate rt from it, run norm control, report.
 
     config_b_template must use the NORM_CONTROL variant; its rt schedule is
-    replaced by the calibrated ramp (default ramp length: 5% of the horizon).
+    replaced by the calibrated ramp of ramp_steps in [0, T] (default: 5% of
+    the horizon; 0: no ramp), which is checked before config_a runs.
     """
     if config_a.optimizer.variant not in (Variant.DECAY_COUPLED_LR, Variant.DECAY_DECOUPLED,
                                           Variant.COUPLED_SGD):
         raise ValueError("config_a must use a weight-decay variant")
     if config_b_template.optimizer.variant is not Variant.NORM_CONTROL:
         raise ValueError("config_b_template must use the norm_control variant")
-    trace_a = run(config_a)
     if ramp_steps is None:
         ramp_steps = max(1, round(0.05 * config_b_template.steps))
+    if not 0 <= ramp_steps <= config_b_template.steps:
+        raise ValueError(f"ramp_steps must be in [0, T={config_b_template.steps}], got {ramp_steps}")
+    trace_a = run(config_a)
     rt = calibrate_rt_from_run(trace_a, ramp_steps)
     config_b = replace(config_b_template,
                        schedules=replace(config_b_template.schedules, rt=rt))
-    config_b.schedules.validate()
     trace_b = run(config_b)
 
     loss_a = {r.t: r.val_loss for r in trace_a.rows}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from enum import Enum
 
 
@@ -42,7 +42,7 @@ class ScheduleParseError(ValueError):
 
 
 class ScheduleValidationError(ValueError):
-    """A parsed value violates a schedule invariant; names the field."""
+    """A config value is missing or violates a schedule invariant; names the key."""
 
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
@@ -145,6 +145,9 @@ class ScheduleSpec:
     kt: PiecewiseLinearSpec = PiecewiseLinearSpec.const(0.01)
     target_mode: TargetNormMode = TargetNormMode.RELATIVE
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.horizon <= 0:
             raise ScheduleValidationError("T", "horizon must be a positive integer")
@@ -194,15 +197,88 @@ class EtaTiedKt:
         return k
 
 
-SCHEDULE_KEYS = ("T", "eta", "rt", "kt", "target_mode")
-
 _ASSIGN_RE = re.compile(r"^(\w+)\s*=\s*(.+)$")
 _CALL_RE = re.compile(r"^(\w+)\s*\((.*)\)$")
 
 
-def split_assignments(text: str) -> list[tuple[int, str, str]]:
-    """Tokenize key=value lines, dropping blanks and # comments."""
-    out = []
+def parse_choice(enum_type):
+    """Value parser for an Enum: the member whose value is the text."""
+    def parse(value: str):
+        try:
+            return enum_type(value)
+        except ValueError:
+            raise ValueError(f"expected one of {[m.value for m in enum_type]}, got {value!r}") from None
+    return parse
+
+
+def _parse_piecewise(value: str) -> PiecewiseLinearSpec:
+    m = _CALL_RE.match(value)
+    if m is None:
+        raise ValueError(f"expected const(...) or linear(...), got {value!r}")
+    func, args = m.groups()
+    if func == "const":
+        try:
+            return PiecewiseLinearSpec.const(float(args))
+        except ValueError:
+            raise ValueError(f"const() needs one number, got {args!r}") from None
+    if func == "linear":
+        points = []
+        for part in args.split(","):
+            ts, sep, vs = part.partition(":")
+            if not sep:
+                raise ValueError(f"linear() entries look like t:value, got {part.strip()!r}")
+            try:
+                points.append((int(ts), float(vs)))
+            except ValueError:
+                raise ValueError(f"bad breakpoint {part.strip()!r}") from None
+        return PiecewiseLinearSpec.linear(points)
+    raise ValueError(f"unknown schedule kind {func!r}")
+
+
+def _parse_cosine(value: str) -> CosineSpec:
+    m = _CALL_RE.match(value)
+    if m is None or m.group(1) != "cosine":
+        raise ValueError(f"expected cosine(max, min[, warmup=n]), got {value!r}")
+    args = [a.strip() for a in m.group(2).split(",") if a.strip()]
+    if len(args) < 2:
+        raise ValueError("cosine() needs eta_max and eta_min")
+    warmup = 0
+    if len(args) == 3:
+        wm = re.match(r"^warmup\s*=\s*(\d+)$", args[2])
+        if wm is None:
+            raise ValueError(f"third argument must be warmup=<int>, got {args[2]!r}")
+        warmup = int(wm.group(1))
+    elif len(args) > 3:
+        raise ValueError("too many arguments to cosine()")
+    try:
+        return CosineSpec(float(args[0]), float(args[1]), warmup)
+    except ValueError:
+        raise ValueError(f"non-numeric cosine() arguments {value!r}") from None
+
+
+# Schedule text key -> (dataclass, field, value parser). Defaults and range
+# checks live in the dataclasses; T is required because horizon has no default.
+SCHEDULE_KEYS = {
+    "T": (ScheduleSpec, "horizon", int),
+    "eta": (ScheduleSpec, "eta", _parse_cosine),
+    "rt": (ScheduleSpec, "rt", _parse_piecewise),
+    "kt": (ScheduleSpec, "kt", _parse_piecewise),
+    "target_mode": (ScheduleSpec, "target_mode", parse_choice(TargetNormMode)),
+}
+
+
+def parse_assignments(text: str, keys: dict) -> dict:
+    """One pass over the ``key = value`` lines of text through a key table.
+
+    keys maps each accepted key to (dataclass, field, parser), or to None for
+    a key that is known but skipped unread. Returns {dataclass: {field:
+    value}}. Blank lines and ``#`` comments are dropped; a malformed line, an
+    unknown or repeated key, or a value its parser rejects raises
+    ScheduleParseError with the line number. A key whose field has no
+    default in its dataclass is required.
+    """
+    fields: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -210,99 +286,33 @@ def split_assignments(text: str) -> list[tuple[int, str, str]]:
         m = _ASSIGN_RE.match(line)
         if m is None:
             raise ScheduleParseError(lineno, f"expected 'key = value', got {raw.strip()!r}")
-        out.append((lineno, m.group(1), m.group(2).strip()))
-    return out
-
-
-def _parse_piecewise(lineno: int, key: str, value: str) -> PiecewiseLinearSpec:
-    m = _CALL_RE.match(value)
-    if m is None:
-        raise ScheduleParseError(lineno, f"{key}: expected const(...) or linear(...), got {value!r}")
-    func, args = m.group(1), m.group(2)
-    if func == "const":
+        key, value = m.group(1), m.group(2).strip()
+        if key not in keys:
+            raise ScheduleParseError(lineno, f"unknown key {key!r}")
+        if key in first_line:
+            raise ScheduleParseError(lineno, f"duplicate key {key!r} (first set on line {first_line[key]})")
+        first_line[key] = lineno
+        if keys[key] is None:
+            continue
+        owner, name, parse = keys[key]
         try:
-            return PiecewiseLinearSpec.const(float(args))
-        except ValueError:
-            raise ScheduleParseError(lineno, f"{key}: const() needs one number, got {args!r}") from None
-    if func == "linear":
-        points = []
-        for part in args.split(","):
-            part = part.strip()
-            if ":" not in part:
-                raise ScheduleParseError(lineno, f"{key}: linear() entries look like t:value, got {part!r}")
-            ts, vs = part.split(":", 1)
-            try:
-                points.append((int(ts), float(vs)))
-            except ValueError:
-                raise ScheduleParseError(lineno, f"{key}: bad breakpoint {part!r}") from None
-        if not points:
-            raise ScheduleParseError(lineno, f"{key}: linear() needs at least one breakpoint")
-        return PiecewiseLinearSpec.linear(points)
-    raise ScheduleParseError(lineno, f"{key}: unknown schedule kind {func!r}")
+            fields.setdefault(owner, {})[name] = parse(value)
+        except ValueError as e:
+            raise ScheduleParseError(lineno, f"{key}: {e}") from None
+    for key, entry in keys.items():
+        if entry is not None and key not in first_line:
+            field_def = entry[0].__dataclass_fields__[entry[1]]
+            if field_def.default is MISSING and field_def.default_factory is MISSING:
+                raise ScheduleValidationError(key, "missing required key")
+    return fields
 
 
-def _parse_cosine(lineno: int, value: str) -> CosineSpec:
-    m = _CALL_RE.match(value)
-    if m is None or m.group(1) != "cosine":
-        raise ScheduleParseError(lineno, f"eta: expected cosine(max, min[, warmup=n]), got {value!r}")
-    args = [a.strip() for a in m.group(2).split(",") if a.strip()]
-    if len(args) < 2:
-        raise ScheduleParseError(lineno, "eta: cosine() needs eta_max and eta_min")
-    warmup = 0
-    if len(args) == 3:
-        wm = re.match(r"^warmup\s*=\s*(\d+)$", args[2])
-        if wm is None:
-            raise ScheduleParseError(lineno, f"eta: third argument must be warmup=<int>, got {args[2]!r}")
-        warmup = int(wm.group(1))
-    elif len(args) > 3:
-        raise ScheduleParseError(lineno, "eta: too many arguments to cosine()")
-    try:
-        return CosineSpec(float(args[0]), float(args[1]), warmup)
-    except ValueError:
-        raise ScheduleParseError(lineno, f"eta: non-numeric cosine() arguments {value!r}") from None
-
-
-def parse_schedule_spec(text: str, extra_keys_ok: bool = False) -> ScheduleSpec:
+def parse_schedule_spec(text: str) -> ScheduleSpec:
     """Parse the line-oriented schedule format into a validated ScheduleSpec.
 
-    With extra_keys_ok, unrecognized keys are skipped so a full run config
-    can be handed in directly.
+    Every key must be a schedule key.
     """
-    horizon = None
-    eta = CosineSpec()
-    rt = PiecewiseLinearSpec.const(0.0)
-    kt = PiecewiseLinearSpec.const(0.01)
-    mode = TargetNormMode.RELATIVE
-    seen: set[str] = set()
-    for lineno, key, value in split_assignments(text):
-        if key not in SCHEDULE_KEYS:
-            if extra_keys_ok:
-                continue
-            raise ScheduleParseError(lineno, f"unknown schedule key {key!r}")
-        if key in seen:
-            raise ScheduleParseError(lineno, f"duplicate key {key!r}")
-        seen.add(key)
-        if key == "T":
-            try:
-                horizon = int(value)
-            except ValueError:
-                raise ScheduleParseError(lineno, f"T must be an integer, got {value!r}") from None
-        elif key == "eta":
-            eta = _parse_cosine(lineno, value)
-        elif key == "rt":
-            rt = _parse_piecewise(lineno, "rt", value)
-        elif key == "kt":
-            kt = _parse_piecewise(lineno, "kt", value)
-        elif key == "target_mode":
-            try:
-                mode = TargetNormMode(value)
-            except ValueError:
-                raise ScheduleParseError(lineno, f"target_mode must be relative|absolute, got {value!r}") from None
-    if horizon is None:
-        raise ScheduleValidationError("T", "missing required key")
-    spec = ScheduleSpec(horizon, eta, rt, kt, mode)
-    spec.validate()
-    return spec
+    return ScheduleSpec(**parse_assignments(text, SCHEDULE_KEYS)[ScheduleSpec])
 
 
 def _format_piecewise(spec: PiecewiseLinearSpec) -> str:

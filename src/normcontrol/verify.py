@@ -367,7 +367,6 @@ def _random_cfg(rng: np.random.Generator, variant: Variant) -> OptimizerConfig:
         alpha=float(10.0 ** rng.uniform(-4, -1)),
         beta1=float(rng.uniform(0.0, 0.99)),
         beta2=float(rng.uniform(0.9, 0.9999)),
-        epsilon=1e-8,
         weight_decay=float(rng.uniform(0.0, 0.5)),
         variant=variant,
     )
@@ -417,8 +416,7 @@ def _check_oracle_trajectory(rng: np.random.Generator) -> str | None:
     oracle = oracle_from_store(store)
     cfg = OptimizerConfig(weight_decay=0.1, variant=Variant.NORM_CONTROL)
     horizon = 300
-    sched = ScheduleSpec(horizon=horizon, rt=PiecewiseLinearSpec.linear([(0, 1.0), (100, 1.5)]),
-                         kt=PiecewiseLinearSpec.const(0.01))
+    sched = ScheduleSpec(horizon=horizon, rt=PiecewiseLinearSpec.linear([(0, 1.0), (100, 1.5)]))
     for t in range(1, horizon + 1):
         g = a_diag * store.theta - b
         optim.step(store, state, g, t, sched, cfg)

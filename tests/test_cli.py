@@ -44,6 +44,19 @@ def test_schedule_subcommand(tmp_path):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "50", "100"]
 
 
+def test_schedule_rejects_unknown_keys(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    for name in ("mlp_adamw.cfg", "mlp_norm_control.cfg"):
+        assert main(["schedule", "--config", str(CONFIGS_DIR / name), "--stride", "100",
+                     "--out", str(out)]) == 0
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("T = 100\nkt = const(0.5)\n")  # schedule keys only, no task
+    assert main(["schedule", "--config", str(cfg), "--stride", "50", "--out", str(out)]) == 0
+    cfg.write_text(RUN_CFG + "Kt = const(0.5)\n")
+    assert main(["schedule", "--config", str(cfg), "--stride", "50", "--out", str(out)]) == 2
+    assert "line 11: unknown key 'Kt'" in capsys.readouterr().err
+
+
 def test_compare_subcommand(tmp_path):
     cfg_a = tmp_path / "a.cfg"
     cfg_a.write_text(DECAY_CFG)
@@ -71,6 +84,14 @@ def test_check_grad_with_properties(capsys):
     assert "convex-combination" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [["--dim", "0"], ["--hidden", "0"], ["--properties", "-3"]])
+def test_check_grad_rejects_bad_sizes(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-grad", "--task", "quadratic", *args])
+    assert exc.value.code == 2
+    assert args[0] in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("task = mlp\nnot an assignment\nT = 10\n")
@@ -87,7 +108,8 @@ def test_validation_error_exit_code(tmp_path):
     # norm_control is the variant that used to ignore a non-finite lambda
     for line in ["kt = const(2.0)", "alpha = nan", "alpha = inf", "epsilon = nan",
                  "epsilon = inf", "lambda = nan", "lambda = inf", "rt = const(nan)",
-                 "rt = const(inf)", "rt = linear(0:1.0, 5:nan)", "kt = const(nan)"]:
+                 "rt = const(inf)", "rt = linear(0:1.0, 5:nan)", "kt = const(nan)",
+                 "seed = 1\nseed = 2", "variant = none"]:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"task = mlp\nT = 10\nvariant = norm_control\n{line}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, line

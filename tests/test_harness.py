@@ -187,6 +187,23 @@ class TestCompare:
         report = compare(a, b, ramp_steps=30)
         assert report.trace_b.rows[-1].r_t == pytest.approx(report.final_ratio_a)
 
+    def test_ramp_steps_checked_before_the_reference_run(self, monkeypatch):
+        calls = []
+
+        def fake_run(config):
+            calls.append(config)
+            return RunTrace([TraceRow(config.steps, *[1.0] * 7, 1.5, 1.0)], 1.0)
+
+        monkeypatch.setattr(harness, "run", fake_run)
+        a = make_config(variant=Variant.DECAY_COUPLED_LR, lam=0.1, T=300)
+        b = make_config(variant=Variant.NORM_CONTROL, T=300)
+        for ramp in (-7, 301):
+            with pytest.raises(ValueError, match="ramp_steps"):
+                compare(a, b, ramp_steps=ramp)
+            assert calls == []
+        compare(a, b, ramp_steps=0)  # no ramp: rt is the measured ratio from t = 0
+        assert calls[1].schedules.rt == PiecewiseLinearSpec.const(1.5)
+
     def test_decay_equivalent_norm_control_gives_identical_losses(self):
         # with a flat eta schedule, k_t = eta * alpha0 * lam is a constant
         # schedule, so the coupled-decay special case is expressible directly
@@ -246,6 +263,20 @@ class TestParseRunConfig:
         assert cfg.dim == 8 and cfg.batch_size == 32 and cfg.eval_every == 100
         assert cfg.optimizer.variant is Variant.NONE
         assert cfg.optimizer.alpha == 0.001
+        assert cfg == RunConfig(task="quadratic", schedules=ScheduleSpec(horizon=10))
+
+    def test_duplicate_key_has_line_number(self):
+        for key in ("seed = 1", "lambda = 0.1", "kt = const(0.1)"):
+            with pytest.raises(ScheduleParseError, match=r"line 4: duplicate .*line 2"):
+                parse_run_config(f"task = mlp\n{key}\nT = 10\n{key}\n")
+
+    def test_values_checked_at_construction(self):
+        with pytest.raises(ValueError, match="kt"):
+            RunConfig(task="mlp", schedules=ScheduleSpec(
+                horizon=10, kt=PiecewiseLinearSpec.const(2.0)))
+        for name in ("dim", "hidden", "batch_size", "eval_every"):
+            with pytest.raises(ValueError, match=name):
+                RunConfig(task="mlp", schedules=ScheduleSpec(horizon=10), **{name: 0})
 
     def test_missing_task(self):
         with pytest.raises(ValueError, match="task"):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normcontrol.schedules import (
+    SCHEDULE_KEYS,
     CosineSpec,
     PiecewiseLinearSpec,
     ScheduleParseError,
@@ -13,6 +14,7 @@ from normcontrol.schedules import (
     TargetNormMode,
     cosine_value,
     format_schedule_spec,
+    parse_assignments,
     parse_schedule_spec,
 )
 
@@ -88,9 +90,11 @@ class TestParse:
 
     def test_unknown_key_rejected_unless_allowed(self):
         text = "T = 10\nbogus = 1\n"
-        with pytest.raises(ScheduleParseError, match="bogus"):
+        with pytest.raises(ScheduleParseError, match="line 2: unknown key 'bogus'"):
             parse_schedule_spec(text)
-        assert parse_schedule_spec(text, extra_keys_ok=True).horizon == 10
+        # a key the table maps to None is known and skipped unread
+        assert parse_assignments(text, SCHEDULE_KEYS | {"bogus": None}) == {
+            ScheduleSpec: {"horizon": 10}}
 
     def test_comments_and_blanks_ignored(self):
         spec = parse_schedule_spec("\n# header\nT = 42  # trailing\n\n")
