@@ -83,14 +83,9 @@ def _cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.trace_a.write_csv(out_dir / "trace_a.csv")
     report.trace_b.write_csv(out_dir / "trace_b.csv")
-    summary = {
-        "final_ratio_a": report.final_ratio_a,
-        "final_ratio_b": report.final_ratio_b,
-        "ratio_gap": report.ratio_gap,
-        "final_val_loss_a": report.final_val_loss_a,
-        "final_val_loss_b": report.final_val_loss_b,
-        "rel_val_loss": [{"t": t, "val_loss_b_over_a": v} for t, v in report.rel_val_loss],
-    }
+    summary = {key: getattr(report, key) for key in (
+        "final_ratio_a", "final_ratio_b", "ratio_gap", "final_val_loss_a", "final_val_loss_b")}
+    summary["rel_val_loss"] = [{"t": t, "val_loss_b_over_a": v} for t, v in report.rel_val_loss]
     (out_dir / "report.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"ratio A {report.final_ratio_a:.6g}, ratio B {report.final_ratio_b:.6g} "
           f"(gap {report.ratio_gap:.3g}); val loss A {report.final_val_loss_a:.6g}, "

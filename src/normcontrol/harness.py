@@ -21,7 +21,7 @@ line-oriented key=value format as schedule specs, with run keys added::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,11 +35,10 @@ from .schedules import (
     parse_assignments,
     parse_choice,
 )
-from .tasks import build_task
+from .tasks import TASK_NAMES, build_task
 
-TRACE_HEADER = "t,train_loss,val_loss,eta_t,r_t,k_t,target_norm,actual_norm,norm_ratio,grad_norm"
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     task: str
     schedules: ScheduleSpec
@@ -52,9 +51,16 @@ class RunConfig:
     control_biases: bool = False
 
     def __post_init__(self):
+        if self.task not in TASK_NAMES:
+            raise ValueError(f"task must be one of {TASK_NAMES}, got {self.task!r}")
         for name in ("dim", "hidden", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # The rate peaks at eta_max; a rate above 1 would flip the weights' signs.
+        if self.optimizer.decay_rate(self.schedules.eta.eta_max) > 1.0:
+            raise ValueError(f"lambda = {self.optimizer.weight_decay} gives a decay rate above 1")
 
     @property
     def steps(self) -> int:
@@ -76,6 +82,9 @@ class TraceRow:
     grad_norm: float
 
 
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRow))
+
+
 @dataclass
 class RunTrace:
     rows: list[TraceRow]
@@ -91,10 +100,9 @@ class RunTrace:
 
     def to_csv(self) -> str:
         lines = [TRACE_HEADER]
+        names = TRACE_HEADER.split(",")[1:]
         for r in self.rows:
-            vals = [r.train_loss, r.val_loss, r.eta_t, r.r_t, r.k_t,
-                    r.target_norm, r.actual_norm, r.norm_ratio, r.grad_norm]
-            lines.append(f"{r.t}," + ",".join(_fmt(v) for v in vals))
+            lines.append(f"{r.t}," + ",".join(_fmt(getattr(r, n)) for n in names))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:

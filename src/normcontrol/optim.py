@@ -9,15 +9,15 @@ update scaled by eta_t * alpha, then exactly one regularization variant:
   from the learning rate),
 * ``NORM_CONTROL``      -- pull the controlled norm toward a scheduled target
   r_t * ||theta_0|| at rate k_t,
-* ``COUPLED_SGD``       -- plain SGD with decay fused into the gradient step
-  (no Adam machinery), kept for reference comparisons,
+* ``COUPLED_SGD``       -- plain SGD with decay at rate lam fused into the
+  gradient step (no Adam machinery), kept for reference comparisons,
 * ``NONE``              -- bare Adam.
 
-Norm control contains both decay variants as special cases: r_t = 0 with
-k_t = eta_t * alpha0 * lam reproduces DECAY_COUPLED_LR, and k_t = eta_t * lam
-reproduces DECAY_DECOUPLED. The implementation keeps those reductions exact
-in floating point (both paths scale by the identical ``1 - rate`` factor);
-``schedules.EtaTiedKt`` is that k_t schedule.
+Every decay is norm control with r_t = 0: ``step`` reads r_t and k_t from the
+schedules under NORM_CONTROL only and otherwise uses r_t = 0 and
+k_t = ``OptimizerConfig.decay_rate(eta_t)``, so every regularized variant
+scales the controlled groups through ``regularize_norm_control``. Norm
+control under ``schedules.EtaTiedKt`` reproduces a decay variant bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Variant(Enum):
     COUPLED_SGD = "coupled_sgd"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     alpha: float = 0.001
     beta1: float = 0.9
@@ -69,6 +69,18 @@ class OptimizerConfig:
         if self.weight_decay < 0.0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
+    def decay_rate(self, eta_t: float) -> float:
+        """k_t of this variant as norm control at r_t = 0, at multiplier eta_t.
+
+        0 for NONE, and for NORM_CONTROL, whose k_t comes from its schedule."""
+        if self.variant is Variant.DECAY_COUPLED_LR:
+            return eta_t * self.alpha * self.weight_decay
+        if self.variant is Variant.DECAY_DECOUPLED:
+            return eta_t * self.weight_decay
+        if self.variant is Variant.COUPLED_SGD:
+            return self.weight_decay
+        return 0.0
+
 
 @dataclass
 class OptimizerState:
@@ -87,9 +99,9 @@ class OptimizerState:
 class StepReport:
     t: int
     eta_t: float
-    r_t: float
-    k_t: float
-    target_norm: float  # what r_t asks for under sched.target_mode, for every variant
+    r_t: float  # applied: the rt schedule under norm control, else 0
+    k_t: float  # applied: the kt schedule under norm control, else cfg.decay_rate(eta_t)
+    target_norm: float  # what r_t asks for under sched.target_mode (0 unless norm control)
     scale: float  # factor applied to the controlled groups by the regularization (1.0: none)
 
 
@@ -146,10 +158,7 @@ def adam_param_update(
 
 
 def regularize_decay(store: ParamStore, rate: float) -> float:
-    """Multiplicative decay theta *= (1 - rate) on controlled groups only.
-
-    Returns the factor applied, 1 - rate.
-    """
+    """Multiplicative decay theta *= (1 - rate) on controlled groups only; returns 1 - rate."""
     if rate < 0.0:
         raise ValueError(f"decay rate must be >= 0, got {rate}")
     factor = 1.0 - rate
@@ -199,19 +208,13 @@ def sgd_step_coupled_decay(
 ) -> float:
     """One fused SGD step theta = (1 - lam) * theta - alpha * g.
 
-    The decay term applies to controlled groups; uncontrolled groups get the
-    plain gradient step. Returns the decay factor, 1 - lam.
+    The decay (norm control at r_t = 0, k_t = lam) applies to controlled
+    groups, rounding as the fused formula. Returns the decay factor, 1 - lam.
     """
     if g.shape != store.theta.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape {store.theta.shape}")
-    theta = store.theta
-    factor = 1.0 - weight_decay
-    for group in store.groups:
-        s = group.slice
-        if group.controlled:
-            theta[s] = factor * theta[s] - alpha * g[s]
-        else:
-            theta[s] -= alpha * g[s]
+    factor = regularize_norm_control(store, 0.0, weight_decay)
+    store.theta -= alpha * g
     return factor
 
 
@@ -226,30 +229,27 @@ def step(
     """Run one full optimizer step for step index t (1-based).
 
     ``sched`` is anything with eta_at/rt_at/kt_at methods and a target_mode
-    attribute, normally a ScheduleSpec. The controlled norm is measured only
-    where norm control with r_t > 0 needs it: once in that case, else never.
+    attribute, normally a ScheduleSpec; only norm control reads rt_at/kt_at,
+    and only norm control with r_t > 0 measures the controlled norm (once).
     """
     if t != state.t + 1:
         raise ValueError(f"step index {t} not consecutive with state.t={state.t}")
     state.t = t
     eta_t = sched.eta_at(t)
-    r_t = sched.rt_at(t)
-    k_t = sched.kt_at(t)
-    scale = 1.0
+    if cfg.variant is Variant.NORM_CONTROL:
+        r_t, k_t = sched.rt_at(t), sched.kt_at(t)
+    else:
+        r_t, k_t = 0.0, cfg.decay_rate(eta_t)
 
     if cfg.variant is Variant.COUPLED_SGD:
         # Fused decay + gradient step; no moments, no schedule multiplier.
-        scale = sgd_step_coupled_decay(store, g, cfg.alpha, cfg.weight_decay)
+        scale = sgd_step_coupled_decay(store, g, cfg.alpha, k_t)
     else:
         m_hat, v_hat = adam_moment_update(state, g, cfg)
         adam_param_update(store, m_hat, v_hat, eta_t, cfg)
         del m_hat, v_hat  # not live during the regularization's norm pass
-        if cfg.variant is Variant.DECAY_COUPLED_LR:
-            scale = regularize_decay(store, eta_t * cfg.alpha * cfg.weight_decay)
-        elif cfg.variant is Variant.DECAY_DECOUPLED:
-            scale = regularize_decay(store, eta_t * cfg.weight_decay)
-        elif cfg.variant is Variant.NORM_CONTROL:
-            scale = regularize_norm_control(store, r_t, k_t, sched.target_mode)
+        scale = (1.0 if cfg.variant is Variant.NONE
+                 else regularize_norm_control(store, r_t, k_t, sched.target_mode))
 
     return StepReport(
         t=t,

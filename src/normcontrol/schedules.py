@@ -20,6 +20,10 @@ import math
 import re
 from dataclasses import MISSING, dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .optim import OptimizerConfig
 
 
 class TargetNormMode(Enum):
@@ -100,10 +104,6 @@ class PiecewiseLinearSpec:
     def linear(cls, points) -> "PiecewiseLinearSpec":
         return cls(tuple((int(t), float(v)) for t, v in points))
 
-    @property
-    def is_const(self) -> bool:
-        return len(self.points) == 1
-
     def validate(self, field_name: str, lo: float | None = None, hi: float | None = None) -> None:
         if not self.points:
             raise ScheduleValidationError(field_name, "needs at least one breakpoint")
@@ -174,14 +174,13 @@ class ScheduleSpec:
 class EtaTiedKt:
     """Norm-control schedules that reproduce a weight-decay variant exactly.
 
-    r_t = 0 and k_t = eta_t * rates[0] * rates[1] * ..., multiplied left to
-    right in the order optim.step forms its decay rate, so the reduction is
-    bitwise: rates (alpha0, lam) match DECAY_COUPLED_LR and (lam,) match
-    DECAY_DECOUPLED.
+    r_t = 0 and k_t = decay_cfg.decay_rate(eta_t), the rate optim.step
+    applies under decay_cfg's variant, so norm control under these schedules
+    matches that variant bit for bit.
     """
 
     base: ScheduleSpec
-    rates: tuple[float, ...]
+    decay_cfg: OptimizerConfig
     target_mode = TargetNormMode.RELATIVE
 
     def eta_at(self, t: int) -> float:
@@ -191,10 +190,7 @@ class EtaTiedKt:
         return 0.0
 
     def kt_at(self, t: int) -> float:
-        k = self.base.eta_at(t)
-        for rate in self.rates:
-            k *= rate
-        return k
+        return self.decay_cfg.decay_rate(self.base.eta_at(t))
 
 
 _ASSIGN_RE = re.compile(r"^(\w+)\s*=\s*(.+)$")
@@ -316,7 +312,7 @@ def parse_schedule_spec(text: str) -> ScheduleSpec:
 
 
 def _format_piecewise(spec: PiecewiseLinearSpec) -> str:
-    if spec.is_const:
+    if len(spec.points) == 1:
         return f"const({spec.points[0][1]!r})"
     return "linear(" + ", ".join(f"{t}:{v!r}" for t, v in spec.points) + ")"
 

@@ -429,17 +429,16 @@ def _check_oracle_trajectory(rng: np.random.Generator) -> str | None:
     return None
 
 
-def _decay_equivalence_check(rng: np.random.Generator, coupled: bool) -> str | None:
+def _decay_equivalence_check(rng: np.random.Generator, variant: Variant) -> str | None:
     """Decay variant vs norm control with r=0 and the matching k_t schedule."""
     dim = int(rng.integers(2, 33))
     theta0 = rng.normal(size=dim)
     lam = float(rng.uniform(0.01, 0.5))
     horizon = 25
     base = ScheduleSpec(horizon=horizon)
-    variant = Variant.DECAY_COUPLED_LR if coupled else Variant.DECAY_DECOUPLED
     cfg_a = OptimizerConfig(weight_decay=lam, variant=variant)
-    cfg_c = OptimizerConfig(weight_decay=lam, variant=Variant.NORM_CONTROL)
-    sched_c = EtaTiedKt(base, (cfg_a.alpha, lam) if coupled else (lam,))
+    cfg_c = OptimizerConfig(variant=Variant.NORM_CONTROL)
+    sched_c = EtaTiedKt(base, cfg_a)
 
     grads = rng.normal(size=(horizon, dim))
     store_a = ParamStore(theta0.copy(), [ParamGroup("w", 0, dim, True)])
@@ -502,9 +501,9 @@ def property_suite(seed: int, cases: int) -> SuiteReport:
         ("oracle trajectory drift (quadratic, norm control)", _check_oracle_trajectory,
          max(1, cases // 100)),
         ("coupled-lr decay == norm control special case",
-         lambda r: _decay_equivalence_check(r, True), max(1, cases // 20)),
+         lambda r: _decay_equivalence_check(r, Variant.DECAY_COUPLED_LR), max(1, cases // 20)),
         ("decoupled decay == norm control special case",
-         lambda r: _decay_equivalence_check(r, False), max(1, cases // 20)),
+         lambda r: _decay_equivalence_check(r, Variant.DECAY_DECOUPLED), max(1, cases // 20)),
         ("degenerate inputs stay finite", _check_degenerate_inputs, cases),
     ]
     results = []

@@ -75,7 +75,7 @@ def test_criterion_1_special_case_equivalence():
             variant=Variant.DECAY_COUPLED_LR if coupled else Variant.DECAY_DECOUPLED,
         )
         cfg_nc = OptimizerConfig(weight_decay=lam, variant=Variant.NORM_CONTROL)
-        tied = EtaTiedKt(base, (cfg_decay.alpha, lam) if coupled else (lam,))
+        tied = EtaTiedKt(base, cfg_decay)
 
         store_a = ParamStore(theta0.copy(), task.groups)
         store_b = ParamStore(theta0.copy(), task.groups)

@@ -104,7 +104,7 @@ def test_missing_file_exit_code(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_validation_error_exit_code(tmp_path):
+def test_validation_error_exit_code(tmp_path, capsys):
     # norm_control is the variant that used to ignore a non-finite lambda
     for line in ["kt = const(2.0)", "alpha = nan", "alpha = inf", "epsilon = nan",
                  "epsilon = inf", "lambda = nan", "lambda = inf", "rt = const(nan)",
@@ -113,6 +113,12 @@ def test_validation_error_exit_code(tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"task = mlp\nT = 10\nvariant = norm_control\n{line}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, line
+    # a decay rate above 1 at eta_max would flip the sign of the weights
+    for variant in ("decay_decoupled", "coupled_sgd"):
+        cfg.write_text(f"task = mlp\nT = 10\nvariant = {variant}\nlambda = 1.5\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, variant
+        assert "lambda" in capsys.readouterr().err, variant
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -65,8 +65,7 @@ class TestRun:
         cfg = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=150, eval_every=25,
                           rt=PiecewiseLinearSpec.linear([(0, 1.0), (50, 2.0)]))
         for mode in TargetNormMode:
-            cfg.schedules = replace(cfg.schedules, target_mode=mode)
-            trace = run(cfg)
+            trace = run(replace(cfg, schedules=replace(cfg.schedules, target_mode=mode)))
             ts = [r.t for r in trace.rows]
             assert ts == sorted(ts) and len(set(ts)) == len(ts)
             for row in trace.rows:
@@ -77,14 +76,36 @@ class TestRun:
                 assert abs(row.norm_ratio * trace.initial_norm - row.actual_norm) \
                     <= 1e-12 * row.actual_norm
 
+    def test_trace_reports_the_applied_rt_and_kt(self):
+        # rt and kt are set but only norm control reads them; the other
+        # variants are norm control at r_t = 0 and k_t = decay_rate(eta_t).
+        rt = PiecewiseLinearSpec.linear([(0, 1.0), (50, 1.5)])
+        kt = PiecewiseLinearSpec.const(0.05)
+        for variant in Variant:
+            for mode in TargetNormMode:
+                cfg = make_config(task="mlp", variant=variant, T=120, eval_every=20, lam=0.1,
+                                  rt=rt, kt=kt, eta=CosineSpec(1.0, 0.1, warmup_steps=10))
+                cfg = replace(cfg, schedules=replace(cfg.schedules, target_mode=mode))
+                sched, opt = cfg.schedules, cfg.optimizer
+                for row in run(cfg).rows:
+                    if variant is Variant.NORM_CONTROL:
+                        assert (row.r_t, row.k_t) == (sched.rt_at(row.t), sched.kt_at(row.t))
+                        assert row.target_norm > 0.0
+                    else:
+                        assert row.r_t == row.target_norm == 0.0, (variant, row.t)
+                        assert row.k_t == {Variant.NONE: 0.0,  # the rate the step applied
+                                           Variant.DECAY_COUPLED_LR: row.eta_t * opt.alpha * 0.1,
+                                           Variant.DECAY_DECOUPLED: row.eta_t * 0.1,
+                                           Variant.COUPLED_SGD: 0.1}[variant]
+
     def test_logs_every_eval_every_and_final_step(self):
         trace = run(make_config(T=105, eval_every=25))
         assert [r.t for r in trace.rows] == [25, 50, 75, 100, 105]
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_aborts_with_step_index_on_numeric_blowup(self):
-        cfg = make_config(T=10, eval_every=1)
-        cfg.optimizer = OptimizerConfig(alpha=1e160, variant=Variant.NONE)
+        cfg = replace(make_config(T=10, eval_every=1),
+                      optimizer=OptimizerConfig(alpha=1e160, variant=Variant.NONE))
         with pytest.raises(RuntimeError, match="aborted at step"):
             run(cfg)
 
@@ -277,6 +298,28 @@ class TestParseRunConfig:
         for name in ("dim", "hidden", "batch_size", "eval_every"):
             with pytest.raises(ValueError, match=name):
                 RunConfig(task="mlp", schedules=ScheduleSpec(horizon=10), **{name: 0})
+
+    def test_task_seed_and_decay_rate_checked_at_construction(self):
+        sched = ScheduleSpec(horizon=10)
+        with pytest.raises(ValueError, match="task"):
+            RunConfig(task="foo", schedules=sched)
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(task="mlp", schedules=sched, seed=-1)
+        for variant in (Variant.DECAY_DECOUPLED, Variant.COUPLED_SGD):
+            with pytest.raises(ValueError, match="lambda"):
+                RunConfig(task="mlp", schedules=sched,
+                          optimizer=OptimizerConfig(weight_decay=1.5, variant=variant))
+        # lambda is not read by norm control; a rate of exactly 1 is allowed
+        for variant, lam in ((Variant.NORM_CONTROL, 1.5), (Variant.DECAY_DECOUPLED, 1.0)):
+            RunConfig(task="mlp", schedules=sched,
+                      optimizer=OptimizerConfig(weight_decay=lam, variant=variant))
+
+    def test_configs_are_frozen(self):
+        cfg = make_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.eval_every = 0
+        with pytest.raises(FrozenInstanceError):
+            cfg.optimizer.weight_decay = 2.0
 
     def test_missing_task(self):
         with pytest.raises(ValueError, match="task"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normcontrol import optim
 from normcontrol.optim import (
     OptimizerConfig,
     OptimizerState,
@@ -249,7 +250,7 @@ def test_step_decay_is_special_case_of_norm_control(coupled):
     base = ScheduleSpec(horizon=200)
     decay_variant = Variant.DECAY_COUPLED_LR if coupled else Variant.DECAY_DECOUPLED
     theta_decay = _run_steps(decay_variant, base, lam, grads)
-    tied = EtaTiedKt(base, (OptimizerConfig().alpha, lam) if coupled else (lam,))
+    tied = EtaTiedKt(base, OptimizerConfig(weight_decay=lam, variant=decay_variant))
     theta_nc = _run_steps(Variant.NORM_CONTROL, tied, lam, grads)
     assert np.array_equal(theta_decay, theta_nc)  # bitwise by construction
 
@@ -338,7 +339,7 @@ def test_decay_equivalent_norm_control_reports_equal_scale(coupled):
     decay_cfg = OptimizerConfig(weight_decay=lam, variant=(Variant.DECAY_COUPLED_LR if coupled
                                                            else Variant.DECAY_DECOUPLED))
     nc_cfg = OptimizerConfig(weight_decay=lam, variant=Variant.NORM_CONTROL)
-    tied = EtaTiedKt(base, (decay_cfg.alpha, lam) if coupled else (lam,))
+    tied = EtaTiedKt(base, decay_cfg)
     stores = [one_group_store(rng.normal(size=5)) for _ in range(2)]
     stores[1].theta[:] = stores[0].theta
     states = [OptimizerState.zeros(5), OptimizerState.zeros(5)]
@@ -366,6 +367,34 @@ def test_controlled_norm_calls_per_step(variant, r, monkeypatch):
         step(store, state, np.array([0.1, -0.2, 0.3]), t, sched, cfg)
     per_step = 1 if variant is Variant.NORM_CONTROL and r > 0.0 else 0
     assert len(calls) == 3 * per_step
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_every_regularized_variant_is_one_norm_control_call(variant, monkeypatch):
+    calls = []
+    regularize = optim.regularize_norm_control
+    monkeypatch.setattr(optim, "regularize_norm_control",
+                        lambda *args: calls.append(args[1:3]) or regularize(*args))
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(1.5),
+                         kt=PiecewiseLinearSpec.const(0.3))
+    cfg = OptimizerConfig(weight_decay=0.2, variant=variant)
+    report = step(mixed_store([3.0, 4.0], [1.0]), OptimizerState.zeros(3),
+                  np.array([0.1, -0.2, 0.3]), 1, sched, cfg)
+    if variant is Variant.NONE:
+        assert calls == [] and (report.r_t, report.k_t, report.scale) == (0.0, 0.0, 1.0)
+    else:
+        assert calls == [(report.r_t, report.k_t)]
+        assert report.k_t == (0.3 if variant is Variant.NORM_CONTROL
+                              else cfg.decay_rate(sched.eta_at(1)))
+
+
+@pytest.mark.parametrize("variant", [Variant.DECAY_DECOUPLED, Variant.COUPLED_SGD])
+def test_step_rejects_a_decay_rate_above_one(variant):
+    store = one_group_store([1.0, -2.0])
+    state = OptimizerState.zeros(2)
+    with pytest.raises(ValueError, match="k_t"):
+        step(store, state, np.array([0.1, 0.1]), 1, ScheduleSpec(horizon=10),
+             OptimizerConfig(weight_decay=1.5, variant=variant))
 
 
 def test_config_validation():
