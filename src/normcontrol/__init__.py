@@ -16,11 +16,7 @@ from .optim import (
     OptimizerState,
     StepReport,
     Variant,
-    adam_moment_update,
-    adam_param_update,
-    regularize_decay,
     regularize_norm_control,
-    sgd_step_coupled_decay,
     step,
 )
 from .params import ParamGroup, ParamStore
@@ -30,7 +26,6 @@ from .schedules import (
     PiecewiseLinearSpec,
     ScheduleSpec,
     TargetNormMode,
-    cosine_value,
     format_schedule_spec,
     parse_schedule_spec,
 )
@@ -55,12 +50,9 @@ __all__ = [
     "StepReport",
     "TargetNormMode",
     "Variant",
-    "adam_moment_update",
-    "adam_param_update",
     "build_task",
     "calibrate_rt_from_run",
     "compare",
-    "cosine_value",
     "emit_schedule_table",
     "finite_diff_check",
     "format_schedule_spec",
@@ -69,9 +61,7 @@ __all__ = [
     "parse_run_config",
     "parse_schedule_spec",
     "property_suite",
-    "regularize_decay",
     "regularize_norm_control",
     "run",
-    "sgd_step_coupled_decay",
     "step",
 ]

@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--config-a", required=True, help="decay-variant run config")
     p_cmp.add_argument("--template-b", required=True, help="norm-control run config (rt is replaced)")
     p_cmp.add_argument("--out-dir", required=True)
-    p_cmp.add_argument("--ramp-steps", type=int, default=None,
-                       help="rt ramp length (default: 5%% of the horizon)")
 
     p_sched = sub.add_parser("schedule", help="tabulate eta/rt/kt values")
     p_sched.add_argument("--config", required=True, help="config file with schedule keys")
@@ -78,7 +76,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     config_a = harness.parse_run_config(Path(args.config_a).read_text())
     template_b = harness.parse_run_config(Path(args.template_b).read_text())
-    report = harness.compare(config_a, template_b, ramp_steps=args.ramp_steps)
+    report = harness.compare(config_a, template_b)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.trace_a.write_csv(out_dir / "trace_a.csv")

@@ -32,6 +32,7 @@ from .schedules import (
     SCHEDULE_KEYS,
     PiecewiseLinearSpec,
     ScheduleSpec,
+    TargetNormMode,
     parse_assignments,
     parse_choice,
 )
@@ -108,17 +109,6 @@ class RunTrace:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(self.to_csv())
-
-    @classmethod
-    def from_csv(cls, text: str, initial_norm: float = float("nan")) -> "RunTrace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != TRACE_HEADER:
-            raise ValueError("trace CSV missing expected header")
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            rows.append(TraceRow(int(parts[0]), *(float(p) for p in parts[1:])))
-        return cls(rows, initial_norm)
 
 
 def _fmt(x: float) -> str:
@@ -213,18 +203,18 @@ def run(config: RunConfig) -> RunTrace:
     return RunTrace(rows, store.initial_norm)
 
 
-def calibrate_rt_from_run(reference_trace: RunTrace, ramp_steps: int) -> PiecewiseLinearSpec:
-    """Schedule rt to reach the reference run's final norm ratio.
+def calibrate_rt_from_run(reference_trace: RunTrace) -> PiecewiseLinearSpec:
+    """Schedule rt to follow the reference run's measured norm trajectory.
 
-    Returns a linear ramp from 1.0 at t=0 to the measured final ratio at
-    t=ramp_steps, constant afterwards.
+    Breakpoints are (0, 1.0) and (t, norm_ratio) for every row of the
+    reference trace: linear in between, so at each of those steps rt is the
+    measured ratio exactly.
     """
-    rho = reference_trace.final_norm_ratio
-    if rho <= 0.0:
-        raise ValueError(f"reference final norm ratio must be > 0, got {rho}")
-    if ramp_steps <= 0 or rho == 1.0:
-        return PiecewiseLinearSpec.const(rho)
-    return PiecewiseLinearSpec.linear([(0, 1.0), (ramp_steps, rho)])
+    for row in reference_trace.rows:
+        if row.norm_ratio <= 0.0:
+            raise ValueError(f"reference norm ratio must be > 0, got {row.norm_ratio} at t={row.t}")
+    return PiecewiseLinearSpec.linear([(0, 1.0)] + [(row.t, row.norm_ratio)
+                                                    for row in reference_trace.rows])
 
 
 @dataclass
@@ -239,25 +229,37 @@ class ComparisonReport:
     rel_val_loss: list[tuple[int, float]]  # (t, val_loss_b / val_loss_a)
 
 
-def compare(config_a: RunConfig, config_b_template: RunConfig,
-            ramp_steps: int | None = None) -> ComparisonReport:
+def _experiment(config: RunConfig) -> dict:
+    """The config keys, by their text names, that fix what a run learns and logs."""
+    return {"task": config.task, "dim": config.dim, "hidden": config.hidden,
+            "batch_size": config.batch_size, "seed": config.seed,
+            "eval_every": config.eval_every, "control_biases": config.control_biases,
+            "T": config.schedules.horizon, "eta": config.schedules.eta}
+
+
+def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonReport:
     """Run a decay reference, calibrate rt from it, run norm control, report.
 
-    config_b_template must use the NORM_CONTROL variant; its rt schedule is
-    replaced by the calibrated ramp of ramp_steps in [0, T] (default: 5% of
-    the horizon; 0: no ramp), which is checked before config_a runs.
+    config_b_template must use the NORM_CONTROL variant with a relative
+    target_mode, and describe A's experiment: every key of _experiment equal
+    to A's. Its rt schedule is replaced by A's measured norm trajectory
+    (calibrate_rt_from_run). All of this is checked before config_a runs.
     """
     if config_a.optimizer.variant not in (Variant.DECAY_COUPLED_LR, Variant.DECAY_DECOUPLED,
                                           Variant.COUPLED_SGD):
         raise ValueError("config_a must use a weight-decay variant")
     if config_b_template.optimizer.variant is not Variant.NORM_CONTROL:
         raise ValueError("config_b_template must use the norm_control variant")
-    if ramp_steps is None:
-        ramp_steps = max(1, round(0.05 * config_b_template.steps))
-    if not 0 <= ramp_steps <= config_b_template.steps:
-        raise ValueError(f"ramp_steps must be in [0, T={config_b_template.steps}], got {ramp_steps}")
+    experiment_a, experiment_b = _experiment(config_a), _experiment(config_b_template)
+    for key, value_a in experiment_a.items():
+        if experiment_b[key] != value_a:
+            raise ValueError(f"{key}: template B has {experiment_b[key]!r}, config A "
+                             f"{value_a!r}; both must describe the same experiment")
+    if config_b_template.schedules.target_mode is not TargetNormMode.RELATIVE:
+        raise ValueError("target_mode: template B must be relative, since the "
+                         "calibrated rt is a norm ratio")
     trace_a = run(config_a)
-    rt = calibrate_rt_from_run(trace_a, ramp_steps)
+    rt = calibrate_rt_from_run(trace_a)
     config_b = replace(config_b_template,
                        schedules=replace(config_b_template.schedules, rt=rt))
     trace_b = run(config_b)

@@ -6,11 +6,13 @@ lines and timings.
 
 import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from normcontrol.harness import RunConfig, compare, emit_schedule_table, run
+from normcontrol.harness import RunConfig, compare, emit_schedule_table, parse_run_config, run
 from normcontrol.optim import (
     OptimizerConfig,
     OptimizerState,
@@ -37,6 +39,7 @@ from normcontrol.verify import (
 )
 
 EPS = float(np.finfo(np.float64).eps)
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float, budget: float):
@@ -179,6 +182,17 @@ def test_criterion_5_calibration_protocol():
             f"B {report.final_val_loss_b:.5f} (rel diff {loss_rel:.4f}, tol 0.05)",
             time.perf_counter() - t0, 120.0)
 
+
+
+@pytest.mark.parametrize("seed", [25, 105])
+def test_criterion_5_val_loss_gate_on_shipped_configs(seed):
+    # the seeds of 0-199 where calibrating to A's end point alone missed the gate
+    config_a, template_b = (replace(parse_run_config((CONFIGS_DIR / name).read_text()), seed=seed)
+                            for name in ("mlp_adamw.cfg", "mlp_norm_control.cfg"))
+    report = compare(config_a, template_b)
+    loss_rel = abs(report.final_val_loss_b - report.final_val_loss_a) / abs(report.final_val_loss_a)
+    assert loss_rel <= 0.05, f"seed {seed}: val loss rel diff {loss_rel:.4f} (tol 0.05)"
+    assert report.ratio_gap <= 0.05 * report.final_ratio_a
 
 def test_criterion_6_schedule_endpoints():
     t0 = time.perf_counter()

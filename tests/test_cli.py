@@ -142,3 +142,28 @@ def test_shipped_configs_parse_and_compare(tmp_path):
     assert rc == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert report["ratio_gap"] <= 0.05 * report["final_ratio_a"]
+
+
+def test_compare_rejects_a_template_of_another_experiment(tmp_path, capsys, monkeypatch):
+    from normcontrol import harness
+
+    def no_run(config):
+        raise AssertionError("run A started before the template was checked")
+
+    monkeypatch.setattr(harness, "run", no_run)
+    shipped = (CONFIGS_DIR / "mlp_norm_control.cfg").read_text()
+    templates = {
+        "target_mode": shipped.replace("target_mode = relative", "target_mode = absolute"),
+        "task": shipped.replace("task = mlp", "task = quadratic").replace("T = 3000", "T = 1000"),
+        "T": shipped.replace("T = 3000", "T = 2000"),
+    }
+    for key, text in templates.items():
+        assert text != shipped, key
+        template = tmp_path / f"{key}.cfg"
+        template.write_text(text)
+        capsys.readouterr()
+        rc = main(["compare", "--config-a", str(CONFIGS_DIR / "mlp_adamw.cfg"),
+                   "--template-b", str(template), "--out-dir", str(tmp_path / key)])
+        assert rc == 2, key
+        assert capsys.readouterr().err.startswith(f"error: {key}: "), key
+        assert not (tmp_path / key).exists(), key

@@ -154,33 +154,37 @@ class TestRun:
 
     def test_csv_roundtrip(self):
         trace = run(make_config(T=120, eval_every=40))
-        back = RunTrace.from_csv(trace.to_csv(), initial_norm=trace.initial_norm)
-        assert back.rows == trace.rows
-        assert trace.to_csv().splitlines()[0] == TRACE_HEADER
+        header, *lines = trace.to_csv().splitlines()
+        assert header == TRACE_HEADER
+        # 17 significant digits: every float reads back as the same double
+        back = [TraceRow(int(t), *map(float, rest)) for t, *rest in (ln.split(",") for ln in lines)]
+        assert back == trace.rows
 
 
 class TestCalibrate:
-    def _trace_with_final_ratio(self, rho):
+    def _trace(self, ratios, every=100):
         row_kw = dict(train_loss=0.0, val_loss=0.0, eta_t=1.0, r_t=0.0, k_t=0.0,
                       target_norm=0.0, grad_norm=0.0)
-        return RunTrace([TraceRow(t=100, actual_norm=rho, norm_ratio=rho, **row_kw)], 1.0)
+        return RunTrace([TraceRow(t=every * i, actual_norm=rho, norm_ratio=rho, **row_kw)
+                         for i, rho in enumerate(ratios, start=1)], 1.0)
 
     def test_paper_protocol_breakpoints(self):
-        spec = calibrate_rt_from_run(self._trace_with_final_ratio(2.415), 2500)
-        assert spec.points == ((0, 1.0), (2500, 2.415))
+        spec = calibrate_rt_from_run(self._trace([1.3, 2.0, 2.415]))
+        assert spec.points == ((0, 1.0), (100, 1.3), (200, 2.0), (300, 2.415))
 
     def test_degenerate_ramp_is_constant(self):
-        spec = calibrate_rt_from_run(self._trace_with_final_ratio(1.0), 2500)
-        for t in (0, 1000, 10**6):
+        spec = calibrate_rt_from_run(self._trace([1.0, 1.0]))
+        for t in (0, 50, 200, 10**6):
             assert spec.value_at(t) == 1.0
 
     def test_linear_midpoint(self):
-        spec = calibrate_rt_from_run(self._trace_with_final_ratio(2.0), 1250)
-        assert spec.value_at(625) == 1.5
+        spec = calibrate_rt_from_run(self._trace([2.0, 3.0]))
+        assert spec.value_at(50) == 1.5 and spec.value_at(150) == 2.5
 
     def test_nonpositive_ratio_rejected(self):
-        with pytest.raises(ValueError, match="> 0"):
-            calibrate_rt_from_run(self._trace_with_final_ratio(0.0), 100)
+        for ratios in ([0.0], [1.2, -0.5, 1.3], [1.2, 1.3, 0.0]):
+            with pytest.raises(ValueError, match="> 0"):
+                calibrate_rt_from_run(self._trace(ratios))
 
 
 class TestCompare:
@@ -201,14 +205,16 @@ class TestCompare:
         with pytest.raises(ValueError, match="norm_control"):
             compare(a, a)
 
-    def test_explicit_ramp_steps(self):
+    def test_rt_is_the_reference_norm_ratio_at_every_eval_row(self):
         a = make_config(task="mlp", variant=Variant.DECAY_COUPLED_LR, lam=0.1,
-                        T=300, eval_every=100)
-        b = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=300, eval_every=100)
-        report = compare(a, b, ramp_steps=30)
-        assert report.trace_b.rows[-1].r_t == pytest.approx(report.final_ratio_a)
+                        T=300, eval_every=40)
+        b = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=300, eval_every=40)
+        report = compare(a, b)
+        assert [r.t for r in report.trace_b.rows] == [r.t for r in report.trace_a.rows]
+        assert ([r.r_t for r in report.trace_b.rows]
+                == [r.norm_ratio for r in report.trace_a.rows])
 
-    def test_ramp_steps_checked_before_the_reference_run(self, monkeypatch):
+    def test_mismatched_template_rejected_before_the_reference_run(self, monkeypatch):
         calls = []
 
         def fake_run(config):
@@ -216,14 +222,31 @@ class TestCompare:
             return RunTrace([TraceRow(config.steps, *[1.0] * 7, 1.5, 1.0)], 1.0)
 
         monkeypatch.setattr(harness, "run", fake_run)
-        a = make_config(variant=Variant.DECAY_COUPLED_LR, lam=0.1, T=300)
-        b = make_config(variant=Variant.NORM_CONTROL, T=300)
-        for ramp in (-7, 301):
-            with pytest.raises(ValueError, match="ramp_steps"):
-                compare(a, b, ramp_steps=ramp)
-            assert calls == []
-        compare(a, b, ramp_steps=0)  # no ramp: rt is the measured ratio from t = 0
-        assert calls[1].schedules.rt == PiecewiseLinearSpec.const(1.5)
+        a = make_config(task="mlp", variant=Variant.DECAY_COUPLED_LR, lam=0.1, T=300)
+        b = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=300)
+        sched = b.schedules
+        mismatched = {
+            "task": replace(b, task="quadratic"),
+            "dim": replace(b, dim=9),
+            "hidden": replace(b, hidden=17),
+            "batch_size": replace(b, batch_size=31),
+            "seed": replace(b, seed=1),
+            "eval_every": replace(b, eval_every=60),
+            "control_biases": replace(b, control_biases=True),
+            "T": replace(b, schedules=replace(sched, horizon=600)),
+            "eta": replace(b, schedules=replace(sched, eta=CosineSpec(1.0, 0.2))),
+            "target_mode": replace(b, schedules=replace(
+                sched, target_mode=TargetNormMode.ABSOLUTE)),
+        }
+        for key, template in mismatched.items():
+            with pytest.raises(ValueError, match=f"^{key}: "):
+                compare(a, template)
+            assert calls == [], key
+        # optimizer, rt and kt may differ; rt is replaced by A's trajectory
+        compare(a, replace(b, optimizer=OptimizerConfig(variant=Variant.NORM_CONTROL,
+                                                        alpha=0.002),
+                           schedules=replace(sched, kt=PiecewiseLinearSpec.const(0.05))))
+        assert calls[1].schedules.rt == PiecewiseLinearSpec.linear([(0, 1.0), (300, 1.5)])
 
     def test_decay_equivalent_norm_control_gives_identical_losses(self):
         # with a flat eta schedule, k_t = eta * alpha0 * lam is a constant
