@@ -3,8 +3,9 @@
 Subcommands: run a config, compare a decay run against a calibrated
 norm-control run, tabulate schedules, and check task gradients.
 
-Exit codes: 0 on success, 2 on config/parse errors, 3 on runtime numeric
-errors (including failed checks).
+Exit codes: 0 on success, 2 on config/parse errors (``line N: key:
+message``) and on an output path that cannot be written, found before any
+run starts, 3 on runtime numeric errors (including failed checks).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import harness, tasks, verify
 from .harness import RunConfig
-from .schedules import SCHEDULE_KEYS, ScheduleSpec, parse_assignments
+from .schedules import parse_schedule_spec
 
 GRAD_TOLERANCES = {"quadratic": 1e-9, "logistic": 1e-6, "mlp": 1e-5}
 
@@ -65,6 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = harness.parse_run_config(Path(args.config).read_text())
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise OSError(f"cannot write {out}: not a file in an existing directory")
     trace = harness.run(config)
     trace.write_csv(args.out)
     last = trace.rows[-1]
@@ -76,8 +80,12 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     config_a = harness.parse_run_config(Path(args.config_a).read_text())
     template_b = harness.parse_run_config(Path(args.template_b).read_text())
-    report = harness.compare(config_a, template_b)
     out_dir = Path(args.out_dir)
+    # Checked before the runs; created (with any missing parents) only after them.
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise OSError(f"cannot create {out_dir}: {existing} is not a directory")
+    report = harness.compare(config_a, template_b)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.trace_a.write_csv(out_dir / "trace_a.csv")
     report.trace_b.write_csv(out_dir / "trace_b.csv")
@@ -93,8 +101,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_schedule(args) -> int:
     # A run config or a schedule-only file: run keys are skipped unread, others rejected.
-    keys = dict.fromkeys(harness.RUN_KEYS) | SCHEDULE_KEYS
-    spec = ScheduleSpec(**parse_assignments(Path(args.config).read_text(), keys)[ScheduleSpec])
+    spec = parse_schedule_spec(Path(args.config).read_text(), skip=harness.RUN_KEYS)
     csv_text = harness.schedule_table_csv(spec, args.stride)
     Path(args.out).write_text(csv_text)
     print(f"wrote {args.out}: {csv_text.count(chr(10)) - 1} rows")

@@ -11,7 +11,6 @@ line-oriented key=value format as schedule specs, with run keys added::
     seed = 0
     eval_every = 100
     variant = norm_control
-    lambda = 0.1
     T = 5000
     eta = cosine(1.0, 0.1)
     rt = linear(0:1.0, 250:2.0)
@@ -21,6 +20,7 @@ line-oriented key=value format as schedule specs, with run keys added::
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -30,6 +30,7 @@ from .optim import OptimizerConfig, OptimizerState, Variant
 from .params import ParamStore
 from .schedules import (
     SCHEDULE_KEYS,
+    ConfigError,
     PiecewiseLinearSpec,
     ScheduleSpec,
     TargetNormMode,
@@ -53,15 +54,15 @@ class RunConfig:
 
     def __post_init__(self):
         if self.task not in TASK_NAMES:
-            raise ValueError(f"task must be one of {TASK_NAMES}, got {self.task!r}")
+            raise ConfigError("task", f"must be one of {TASK_NAMES}, got {self.task!r}")
         for name in ("dim", "hidden", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
+                raise ConfigError(name, f"must be a positive integer, got {getattr(self, name)}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         # The rate peaks at eta_max; a rate above 1 would flip the weights' signs.
         if self.optimizer.decay_rate(self.schedules.eta.eta_max) > 1.0:
-            raise ValueError(f"lambda = {self.optimizer.weight_decay} gives a decay rate above 1")
+            raise ConfigError("weight_decay", f"{self.optimizer.weight_decay} gives a decay rate above 1")
 
     @property
     def steps(self) -> int:
@@ -143,13 +144,31 @@ RUN_KEYS = {
     "epsilon": (OptimizerConfig, "epsilon", float),
 }
 
+# The keys that optim.step never reads under each variant; parse_run_config
+# warns about each one the text sets.
+UNREAD_KEYS = {
+    Variant.NONE: ("rt", "kt", "target_mode", "lambda"),
+    Variant.DECAY_COUPLED_LR: ("rt", "kt", "target_mode"),
+    Variant.DECAY_DECOUPLED: ("rt", "kt", "target_mode"),
+    Variant.COUPLED_SGD: ("rt", "kt", "target_mode", "beta1", "beta2", "epsilon"),
+    Variant.NORM_CONTROL: ("lambda",),
+}
+
 
 def parse_run_config(text: str) -> RunConfig:
-    """Parse a full run config (run keys + schedule keys) in one pass."""
-    fields = parse_assignments(text, RUN_KEYS | SCHEDULE_KEYS)
-    return RunConfig(schedules=ScheduleSpec(**fields[ScheduleSpec]),
-                     optimizer=OptimizerConfig(**fields.get(OptimizerConfig, {})),
-                     **fields[RunConfig])
+    """Parse a full run config (run keys + schedule keys) in one pass.
+
+    Warns (UserWarning) once for each key set in text that the variant never reads.
+    """
+    config, lines = parse_assignments(text, RUN_KEYS | SCHEDULE_KEYS, lambda fields: RunConfig(
+        schedules=ScheduleSpec(**fields[ScheduleSpec]),
+        optimizer=OptimizerConfig(**fields.get(OptimizerConfig, {})), **fields[RunConfig]))
+    variant = config.optimizer.variant
+    for key, line in lines.items():
+        if key in UNREAD_KEYS[variant]:
+            warnings.warn(f"line {line}: {key}: not read by variant {variant.value}; ignored",
+                          stacklevel=2)
+    return config
 
 
 def initialize_run(config: RunConfig):
@@ -247,17 +266,17 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
     """
     if config_a.optimizer.variant not in (Variant.DECAY_COUPLED_LR, Variant.DECAY_DECOUPLED,
                                           Variant.COUPLED_SGD):
-        raise ValueError("config_a must use a weight-decay variant")
+        raise ConfigError("variant", "config A must use a weight-decay variant")
     if config_b_template.optimizer.variant is not Variant.NORM_CONTROL:
-        raise ValueError("config_b_template must use the norm_control variant")
+        raise ConfigError("variant", "template B must use the norm_control variant")
     experiment_a, experiment_b = _experiment(config_a), _experiment(config_b_template)
     for key, value_a in experiment_a.items():
         if experiment_b[key] != value_a:
-            raise ValueError(f"{key}: template B has {experiment_b[key]!r}, config A "
-                             f"{value_a!r}; both must describe the same experiment")
+            raise ConfigError(key, f"template B has {experiment_b[key]!r}, config A "
+                                   f"{value_a!r}; both must describe the same experiment")
     if config_b_template.schedules.target_mode is not TargetNormMode.RELATIVE:
-        raise ValueError("target_mode: template B must be relative, since the "
-                         "calibrated rt is a norm ratio")
+        raise ConfigError("target_mode", "template B must be relative, since the "
+                                         "calibrated rt is a norm ratio")
     trace_a = run(config_a)
     rt = calibrate_rt_from_run(trace_a)
     config_b = replace(config_b_template,

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .params import ParamStore
-from .schedules import TargetNormMode
+from .schedules import ConfigError, TargetNormMode
 
 # Below this, the controlled vector is treated as zero: any multiple of it is
 # itself, so a norm target > 0 is unreachable and the update is skipped.
@@ -57,17 +57,15 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("alpha", "epsilon", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+                raise ConfigError(name, f"must be finite, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(name, f"must be in [0, 1), got {getattr(self, name)}")
+        for name in ("alpha", "epsilon"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")
         if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise ConfigError("weight_decay", f"must be >= 0, got {self.weight_decay}")
 
     def decay_rate(self, eta_t: float) -> float:
         """k_t of this variant as norm control at r_t = 0, at multiplier eta_t.

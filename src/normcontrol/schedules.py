@@ -37,20 +37,16 @@ class TargetNormMode(Enum):
         return r_t * initial_norm if self is TargetNormMode.RELATIVE else r_t
 
 
-class ScheduleParseError(ValueError):
-    """Malformed schedule text; carries the offending line number."""
+class ConfigError(ValueError):
+    """A config mistake, naming its key and, when there is one, its line.
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
+    A dataclass check names its field; the parse pass renames it to the text
+    key. key is None for a line that is no assignment or names an unknown key."""
 
-
-class ScheduleValidationError(ValueError):
-    """A config value is missing or violates a schedule invariant; names the key."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field_name = field_name
+    def __init__(self, key: str | None, message: str, line: int | None = None):
+        self.key, self.message, self.line = key, message, line
+        text = message if key is None else f"{key}: {message}"
+        super().__init__(text if line is None else f"line {line}: {text}")
 
 
 @dataclass(frozen=True)
@@ -61,13 +57,13 @@ class CosineSpec:
     eta_min: float = 0.1
     warmup_steps: int = 0
 
-    def validate(self) -> None:
+    def validate(self, field_name: str) -> None:
         if not (0.0 < self.eta_min <= self.eta_max):
-            raise ScheduleValidationError("eta", "requires 0 < eta_min <= eta_max")
+            raise ConfigError(field_name, "requires 0 < eta_min <= eta_max")
         if self.eta_max > 1.0:
-            raise ScheduleValidationError("eta", "eta_max must be <= 1 (multiplier in (0, 1])")
+            raise ConfigError(field_name, "eta_max must be <= 1 (multiplier in (0, 1])")
         if self.warmup_steps < 0:
-            raise ScheduleValidationError("eta.warmup", "warmup_steps must be >= 0")
+            raise ConfigError(field_name, "warmup_steps must be >= 0")
 
 
 def cosine_value(spec: CosineSpec, t: int, horizon: int) -> float:
@@ -105,20 +101,18 @@ class PiecewiseLinearSpec:
         return cls(tuple((int(t), float(v)) for t, v in points))
 
     def validate(self, field_name: str, lo: float | None = None, hi: float | None = None) -> None:
-        if not self.points:
-            raise ScheduleValidationError(field_name, "needs at least one breakpoint")
-        if self.points[0][0] != 0:
-            raise ScheduleValidationError(field_name, "first breakpoint must be at t=0")
+        if not self.points or self.points[0][0] != 0:
+            raise ConfigError(field_name, "needs a first breakpoint at t=0")
         for (t0, _), (t1, _) in zip(self.points, self.points[1:]):
             if t1 <= t0:
-                raise ScheduleValidationError(field_name, "breakpoints must be strictly increasing in t")
+                raise ConfigError(field_name, "breakpoints must be strictly increasing in t")
         for _, v in self.points:
             if not math.isfinite(v):
-                raise ScheduleValidationError(field_name, f"value {v} is not finite")
+                raise ConfigError(field_name, f"value {v} is not finite")
             if lo is not None and v < lo:
-                raise ScheduleValidationError(field_name, f"value {v} below allowed minimum {lo}")
+                raise ConfigError(field_name, f"value {v} below allowed minimum {lo}")
             if hi is not None and v > hi:
-                raise ScheduleValidationError(field_name, f"value {v} above allowed maximum {hi}")
+                raise ConfigError(field_name, f"value {v} above allowed maximum {hi}")
 
     def value_at(self, t: int) -> float:
         """Linear interpolation; exact at breakpoints, constant past the last."""
@@ -150,15 +144,15 @@ class ScheduleSpec:
 
     def validate(self) -> None:
         if self.horizon <= 0:
-            raise ScheduleValidationError("T", "horizon must be a positive integer")
-        self.eta.validate()
+            raise ConfigError("horizon", f"must be a positive integer, got {self.horizon}")
+        self.eta.validate("eta")
         if self.horizon <= self.eta.warmup_steps:
-            raise ScheduleValidationError("T", "horizon must exceed eta warmup_steps")
+            raise ConfigError("horizon", f"must exceed eta's warmup_steps ({self.eta.warmup_steps})")
         self.rt.validate("rt", lo=0.0)
         self.kt.validate("kt", lo=0.0, hi=1.0)
         for spec, name in ((self.rt, "rt"), (self.kt, "kt")):
             if spec.points[-1][0] > self.horizon:
-                raise ScheduleValidationError(name, "last breakpoint beyond horizon T")
+                raise ConfigError(name, f"last breakpoint beyond horizon {self.horizon}")
 
     def eta_at(self, t: int) -> float:
         return cosine_value(self.eta, t, self.horizon)
@@ -263,52 +257,57 @@ SCHEDULE_KEYS = {
 }
 
 
-def parse_assignments(text: str, keys: dict) -> dict:
+def parse_assignments(text: str, keys: dict, build):
     """One pass over the ``key = value`` lines of text through a key table.
 
     keys maps each accepted key to (dataclass, field, parser), or to None for
-    a key that is known but skipped unread. Returns {dataclass: {field:
-    value}}. Blank lines and ``#`` comments are dropped; a malformed line, an
-    unknown or repeated key, or a value its parser rejects raises
-    ScheduleParseError with the line number. A key whose field has no
-    default in its dataclass is required.
+    a key that is known but skipped unread. Returns (build({dataclass:
+    {field: value}}), {key: line}). Blank lines and ``#`` comments are
+    dropped. A malformed line, an unknown or repeated key, a value a parser
+    or a dataclass check rejects, or a missing required key (its field has
+    no default) raises ConfigError with the key and, if it was set, its line.
     """
     fields: dict = {}
-    first_line: dict[str, int] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         m = _ASSIGN_RE.match(line)
         if m is None:
-            raise ScheduleParseError(lineno, f"expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(None, f"expected 'key = value', got {raw.strip()!r}", lineno)
         key, value = m.group(1), m.group(2).strip()
         if key not in keys:
-            raise ScheduleParseError(lineno, f"unknown key {key!r}")
-        if key in first_line:
-            raise ScheduleParseError(lineno, f"duplicate key {key!r} (first set on line {first_line[key]})")
-        first_line[key] = lineno
+            raise ConfigError(None, f"unknown key {key!r}", lineno)
+        if key in lines:
+            raise ConfigError(key, f"duplicate key (first set on line {lines[key]})", lineno)
+        lines[key] = lineno
         if keys[key] is None:
             continue
         owner, name, parse = keys[key]
         try:
             fields.setdefault(owner, {})[name] = parse(value)
         except ValueError as e:
-            raise ScheduleParseError(lineno, f"{key}: {e}") from None
+            raise ConfigError(key, str(e), lineno) from None
     for key, entry in keys.items():
-        if entry is not None and key not in first_line:
+        if entry is not None and key not in lines:
             field_def = entry[0].__dataclass_fields__[entry[1]]
             if field_def.default is MISSING and field_def.default_factory is MISSING:
-                raise ScheduleValidationError(key, "missing required key")
-    return fields
+                raise ConfigError(key, "missing required key")
+    try:
+        return build(fields), lines
+    except ConfigError as e:
+        key = next((k for k, entry in keys.items() if entry and entry[1] == e.key), e.key)
+        raise ConfigError(key, e.message, lines.get(key)) from None
 
 
-def parse_schedule_spec(text: str) -> ScheduleSpec:
+def parse_schedule_spec(text: str, skip=()) -> ScheduleSpec:
     """Parse the line-oriented schedule format into a validated ScheduleSpec.
 
-    Every key must be a schedule key.
+    Every key must be a schedule key or one of skip, which are read past.
     """
-    return ScheduleSpec(**parse_assignments(text, SCHEDULE_KEYS)[ScheduleSpec])
+    return parse_assignments(text, dict.fromkeys(skip) | SCHEDULE_KEYS,
+                             lambda fields: ScheduleSpec(**fields[ScheduleSpec]))[0]
 
 
 def _format_piecewise(spec: PiecewiseLinearSpec) -> str:

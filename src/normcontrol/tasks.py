@@ -109,25 +109,12 @@ class QuadraticTask:
         return self.val_noise
 
 
-class LogisticTask:
-    """Binary logistic regression on Gaussian features, labels from a teacher."""
+class _PooledTask:
+    """Features X and targets y, split into the train and validation pools."""
 
-    def __init__(self, dim: int, rng: np.random.Generator):
-        self.name = "logistic"
-        self.dim = dim
-        self.groups = [ParamGroup("weights", 0, dim, controlled=True)]
-        teacher = rng.normal(size=dim)
-        X = rng.normal(size=(TRAIN_POOL + VAL_POOL, dim))
-        y = (rng.random(TRAIN_POOL + VAL_POOL) < _sigmoid(X @ teacher)).astype(float)
+    def __init__(self, X: np.ndarray, y: np.ndarray):
         self.train_X, self.val_X = X[:TRAIN_POOL], X[TRAIN_POOL:]
         self.train_y, self.val_y = y[:TRAIN_POOL], y[TRAIN_POOL:]
-
-    def init_theta(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(size=self.dim) / math.sqrt(self.dim)
-
-    def loss_and_grad(self, theta, batch):
-        X, y = batch
-        return logistic_loss_grad(theta, X, y)
 
     def sample_batch(self, rng: np.random.Generator, batch_size: int):
         idx = rng.integers(0, TRAIN_POOL, batch_size)
@@ -137,7 +124,27 @@ class LogisticTask:
         return self.val_X, self.val_y
 
 
-class MlpTask:
+class LogisticTask(_PooledTask):
+    """Binary logistic regression on Gaussian features, labels from a teacher."""
+
+    def __init__(self, dim: int, rng: np.random.Generator):
+        self.name = "logistic"
+        self.dim = dim
+        self.groups = [ParamGroup("weights", 0, dim, controlled=True)]
+        teacher = rng.normal(size=dim)
+        X = rng.normal(size=(TRAIN_POOL + VAL_POOL, dim))
+        y = (rng.random(TRAIN_POOL + VAL_POOL) < _sigmoid(X @ teacher)).astype(float)
+        super().__init__(X, y)
+
+    def init_theta(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(size=self.dim) / math.sqrt(self.dim)
+
+    def loss_and_grad(self, theta, batch):
+        X, y = batch
+        return logistic_loss_grad(theta, X, y)
+
+
+class MlpTask(_PooledTask):
     """Regression with a one-hidden-layer tanh MLP against a noisy teacher.
 
     Weight matrices are controlled groups; bias vectors are controlled only
@@ -165,8 +172,7 @@ class MlpTask:
         X = rng.normal(size=(TRAIN_POOL + VAL_POOL, in_dim))
         y = (np.tanh(X @ t_w1.T + t_b1) @ t_w2.T + t_b2).ravel()
         y += 0.1 * rng.normal(size=y.shape)
-        self.train_X, self.val_X = X[:TRAIN_POOL], X[TRAIN_POOL:]
-        self.train_y, self.val_y = y[:TRAIN_POOL], y[TRAIN_POOL:]
+        super().__init__(X, y)
 
     def init_theta(self, rng: np.random.Generator) -> np.ndarray:
         w1 = rng.normal(size=(self.hidden, self.in_dim)) / math.sqrt(self.in_dim)
@@ -176,13 +182,6 @@ class MlpTask:
     def loss_and_grad(self, theta, batch):
         X, y = batch
         return mlp_loss_grad(theta, X, y, self.in_dim, self.hidden)
-
-    def sample_batch(self, rng: np.random.Generator, batch_size: int):
-        idx = rng.integers(0, TRAIN_POOL, batch_size)
-        return self.train_X[idx], self.train_y[idx]
-
-    def val_batch(self):
-        return self.val_X, self.val_y
 
 
 TASK_NAMES = ("quadratic", "logistic", "mlp")

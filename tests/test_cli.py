@@ -105,20 +105,72 @@ def test_missing_file_exit_code(tmp_path):
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
+    # every message starts "line N: key:", N the line that set the key;
     # norm_control is the variant that used to ignore a non-finite lambda
     for line in ["kt = const(2.0)", "alpha = nan", "alpha = inf", "epsilon = nan",
                  "epsilon = inf", "lambda = nan", "lambda = inf", "rt = const(nan)",
                  "rt = const(inf)", "rt = linear(0:1.0, 5:nan)", "kt = const(nan)",
-                 "seed = 1\nseed = 2", "variant = none"]:
+                 "seed = 1\nseed = 2", "variant = none", "lambda = -1", "beta1 = 1.0",
+                 "dim = 0", "seed = -1", "eta = cosine(2.0, 0.1)", "rt = linear(0:1.0, 50:2.0)"]:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"task = mlp\nT = 10\nvariant = norm_control\n{line}\n")
+        capsys.readouterr()
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, line
+        lineno, key = 4 + line.count("\n"), line.split()[0]
+        assert capsys.readouterr().err.startswith(f"error: line {lineno}: {key}: "), line
     # a decay rate above 1 at eta_max would flip the sign of the weights
     for variant in ("decay_decoupled", "coupled_sgd"):
         cfg.write_text(f"task = mlp\nT = 10\nvariant = {variant}\nlambda = 1.5\n")
         capsys.readouterr()
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, variant
-        assert "lambda" in capsys.readouterr().err, variant
+        assert capsys.readouterr().err.startswith("error: line 4: lambda: "), variant
+    # a missing key has no line
+    cfg.write_text("task = mlp\nvariant = norm_control\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: T: missing required key\n"
+
+
+def test_unread_key_warns_and_still_runs(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG + "lambda = 0.1\n")
+    with pytest.warns(UserWarning) as record:
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+    assert [str(w.message) for w in record] == [
+        "line 11: lambda: not read by variant norm_control; ignored"]
+
+
+def test_run_checks_the_output_path_before_the_run(tmp_path, capsys, monkeypatch):
+    from normcontrol import harness
+
+    def no_run(config):
+        raise AssertionError("the run started before the output path was checked")
+
+    monkeypatch.setattr(harness, "run", no_run)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG)
+    for out in (tmp_path / "missing" / "t.csv", tmp_path):
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2, out
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: "), out
+    assert not (tmp_path / "missing").exists()
+
+
+def test_compare_checks_the_output_dir_before_the_runs(tmp_path, capsys, monkeypatch):
+    from normcontrol import harness
+
+    def no_run(config):
+        raise AssertionError("run A started before the output directory was checked")
+
+    monkeypatch.setattr(harness, "run", no_run)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("keep")
+    for out_dir in (blocker, blocker / "sub" / "dir"):
+        capsys.readouterr()
+        assert main(["compare", "--config-a", str(CONFIGS_DIR / "mlp_adamw.cfg"),
+                     "--template-b", str(CONFIGS_DIR / "mlp_norm_control.cfg"),
+                     "--out-dir", str(out_dir)]) == 2, out_dir
+        assert capsys.readouterr().err.startswith(f"error: cannot create {out_dir}: "), out_dir
+    assert blocker.read_text() == "keep"
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -129,12 +181,13 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")  # no warning: every key the configs set is read
 def test_shipped_configs_parse_and_compare(tmp_path):
     from normcontrol.harness import parse_run_config
 
     for name in ("mlp_adamw.cfg", "mlp_norm_control.cfg"):
         parse_run_config((CONFIGS_DIR / name).read_text())
-    out_dir = tmp_path / "cmp"
+    out_dir = tmp_path / "cmp" / "nested"
     rc = main(["compare",
                "--config-a", str(CONFIGS_DIR / "mlp_adamw.cfg"),
                "--template-b", str(CONFIGS_DIR / "mlp_norm_control.cfg"),

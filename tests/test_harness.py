@@ -20,10 +20,10 @@ from normcontrol.harness import (
 from normcontrol.optim import OptimizerConfig, Variant
 from normcontrol.params import ParamStore
 from normcontrol.schedules import (
+    ConfigError,
     CosineSpec,
     PiecewiseLinearSpec,
     ScheduleSpec,
-    ScheduleParseError,
     TargetNormMode,
 )
 
@@ -311,7 +311,9 @@ class TestParseRunConfig:
 
     def test_duplicate_key_has_line_number(self):
         for key in ("seed = 1", "lambda = 0.1", "kt = const(0.1)"):
-            with pytest.raises(ScheduleParseError, match=r"line 4: duplicate .*line 2"):
+            name = key.split()[0]
+            with pytest.raises(ConfigError,
+                               match=rf"^line 4: {name}: duplicate key \(first set on line 2\)$"):
                 parse_run_config(f"task = mlp\n{key}\nT = 10\n{key}\n")
 
     def test_values_checked_at_construction(self):
@@ -329,7 +331,7 @@ class TestParseRunConfig:
         with pytest.raises(ValueError, match="seed"):
             RunConfig(task="mlp", schedules=sched, seed=-1)
         for variant in (Variant.DECAY_DECOUPLED, Variant.COUPLED_SGD):
-            with pytest.raises(ValueError, match="lambda"):
+            with pytest.raises(ValueError, match="^weight_decay: "):  # the field; parsing names lambda
                 RunConfig(task="mlp", schedules=sched,
                           optimizer=OptimizerConfig(weight_decay=1.5, variant=variant))
         # lambda is not read by norm control; a rate of exactly 1 is allowed
@@ -349,7 +351,7 @@ class TestParseRunConfig:
             parse_run_config("T = 10\n")
 
     def test_unknown_key_has_line_number(self):
-        with pytest.raises(ScheduleParseError, match="line 2"):
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'wat'$"):
             parse_run_config("task = mlp\nwat = 1\nT = 10\n")
 
     def test_bad_variant(self):
@@ -357,9 +359,48 @@ class TestParseRunConfig:
             parse_run_config("task = mlp\nT = 10\nvariant = sgdw\n")
 
     def test_bad_int(self):
-        with pytest.raises(ScheduleParseError, match="line 2"):
+        with pytest.raises(ConfigError, match="^line 2: dim: "):
             parse_run_config("task = mlp\ndim = eight\nT = 10\n")
 
     def test_bad_bool(self):
-        with pytest.raises(ScheduleParseError, match="control_biases"):
+        with pytest.raises(ConfigError, match="^line 3: control_biases: "):
             parse_run_config("task = mlp\nT = 10\ncontrol_biases = maybe\n")
+
+    def test_warns_about_keys_the_variant_never_reads(self):
+        with pytest.warns(UserWarning) as record:
+            parse_run_config(self.GOOD)
+        assert [str(w.message) for w in record] == [
+            "line 8: lambda: not read by variant norm_control; ignored"]
+        with pytest.warns(UserWarning) as record:
+            parse_run_config("task = mlp\nvariant = coupled_sgd\nbeta1 = 0.5\nalpha = 0.01\n"
+                             "T = 10\nkt = const(0.5)\nlambda = 0.1\n")
+        assert [str(w.message) for w in record] == [
+            "line 3: beta1: not read by variant coupled_sgd; ignored",
+            "line 6: kt: not read by variant coupled_sgd; ignored"]
+
+    def test_the_keys_warned_about_do_not_change_the_run(self):
+        base = {"task": "mlp", "T": "30", "eval_every": "10", "rt": "const(1.5)",
+                "kt": "const(0.1)", "target_mode": "relative", "lambda": "0.1",
+                "beta1": "0.8", "beta2": "0.99", "epsilon": "1e-6"}
+        other = {"rt": "const(0.5)", "kt": "const(0.3)", "target_mode": "absolute",
+                 "lambda": "0.2", "beta1": "0.5", "beta2": "0.9", "epsilon": "1e-3"}
+        unread = {Variant.NONE: {"rt", "kt", "target_mode", "lambda"},
+                  Variant.DECAY_COUPLED_LR: {"rt", "kt", "target_mode"},
+                  Variant.DECAY_DECOUPLED: {"rt", "kt", "target_mode"},
+                  Variant.COUPLED_SGD: {"rt", "kt", "target_mode", "beta1", "beta2", "epsilon"},
+                  Variant.NORM_CONTROL: {"lambda"}}
+
+        def parse(values):
+            text = "".join(f"{key} = {value}\n" for key, value in values.items())
+            with pytest.warns(UserWarning) as record:
+                cfg = parse_run_config(text)
+            return cfg, {str(w.message).split(": ")[1] for w in record}
+
+        for variant, keys in unread.items():
+            values = base | {"variant": variant.value}
+            cfg, warned = parse(values)
+            assert warned == keys, variant
+            reference = run(cfg).to_csv()
+            for key in other:  # a changed value changes the run iff the variant reads it
+                changed = run(parse(values | {key: other[key]})[0]).to_csv()
+                assert (changed == reference) == (key in keys), (variant, key)

@@ -5,16 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normcontrol.schedules import (
-    SCHEDULE_KEYS,
+    ConfigError,
     CosineSpec,
     PiecewiseLinearSpec,
-    ScheduleParseError,
     ScheduleSpec,
-    ScheduleValidationError,
     TargetNormMode,
     cosine_value,
     format_schedule_spec,
-    parse_assignments,
     parse_schedule_spec,
 )
 
@@ -81,31 +78,30 @@ class TestParse:
         assert spec.kt.points == ((0, 0.01),)
 
     def test_kt_out_of_range_names_field(self):
-        with pytest.raises(ScheduleValidationError, match="kt"):
+        with pytest.raises(ConfigError, match=r"^line 2: kt: value 1.5 above allowed maximum 1.0$"):
             parse_schedule_spec("T = 100\nkt = const(1.5)\n")
 
     def test_malformed_line_reports_lineno(self):
-        with pytest.raises(ScheduleParseError, match="line 3"):
+        with pytest.raises(ConfigError, match="^line 3: expected 'key = value'"):
             parse_schedule_spec("T = 100\n# fine\nthis is not an assignment\n")
 
     def test_unknown_key_rejected_unless_allowed(self):
         text = "T = 10\nbogus = 1\n"
-        with pytest.raises(ScheduleParseError, match="line 2: unknown key 'bogus'"):
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'bogus'$"):
             parse_schedule_spec(text)
-        # a key the table maps to None is known and skipped unread
-        assert parse_assignments(text, SCHEDULE_KEYS | {"bogus": None}) == {
-            ScheduleSpec: {"horizon": 10}}
+        # a skipped key is known and read past unparsed
+        assert parse_schedule_spec(text, skip=["bogus"]) == ScheduleSpec(horizon=10)
 
     def test_comments_and_blanks_ignored(self):
         spec = parse_schedule_spec("\n# header\nT = 42  # trailing\n\n")
         assert spec.horizon == 42
 
     def test_missing_horizon(self):
-        with pytest.raises(ScheduleValidationError, match="T"):
+        with pytest.raises(ConfigError, match="^T: missing required key$"):
             parse_schedule_spec("kt = const(0.5)\n")
 
     def test_duplicate_key(self):
-        with pytest.raises(ScheduleParseError, match="duplicate"):
+        with pytest.raises(ConfigError, match=r"^line 2: T: duplicate key \(first set on line 1\)$"):
             parse_schedule_spec("T = 10\nT = 20\n")
 
     def test_eta_warmup_and_mode(self):
@@ -116,20 +112,31 @@ class TestParse:
         assert spec.target_mode is TargetNormMode.ABSOLUTE
 
     def test_eta_max_above_one_rejected(self):
-        with pytest.raises(ScheduleValidationError, match="eta"):
+        with pytest.raises(ConfigError, match="^line 2: eta: "):
             parse_schedule_spec("T = 100\neta = cosine(1.5, 0.1)\n")
 
     def test_rt_negative_rejected(self):
-        with pytest.raises(ScheduleValidationError, match="rt"):
+        with pytest.raises(ConfigError, match="^line 2: rt: "):
             parse_schedule_spec("T = 100\nrt = const(-0.5)\n")
 
     def test_breakpoints_must_increase(self):
-        with pytest.raises(ScheduleValidationError, match="increasing"):
+        with pytest.raises(ConfigError, match="^line 2: rt: .*increasing"):
             parse_schedule_spec("T = 100\nrt = linear(0:1.0, 50:2.0, 50:3.0)\n")
 
     def test_breakpoint_beyond_horizon(self):
-        with pytest.raises(ScheduleValidationError, match="horizon"):
+        with pytest.raises(ConfigError, match="^line 2: rt: .*horizon"):
             parse_schedule_spec("T = 100\nrt = linear(0:1.0, 200:2.0)\n")
+
+    def test_error_carries_the_key_and_its_line(self):
+        # the dataclass names its field; the parse pass names the key and line
+        with pytest.raises(ConfigError) as built:
+            ScheduleSpec(horizon=0)
+        assert (built.value.key, built.value.line) == ("horizon", None)
+        assert str(built.value) == "horizon: must be a positive integer, got 0"
+        with pytest.raises(ConfigError) as parsed:
+            parse_schedule_spec("# a comment\nkt = const(0.5)\nT = 0\n")
+        assert (parsed.value.key, parsed.value.line) == ("T", 3)
+        assert str(parsed.value) == "line 3: T: must be a positive integer, got 0"
 
 
 def test_roundtrip_example():
