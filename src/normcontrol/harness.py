@@ -150,7 +150,7 @@ UNREAD_KEYS = {
     Variant.NONE: ("rt", "kt", "target_mode", "lambda"),
     Variant.DECAY_COUPLED_LR: ("rt", "kt", "target_mode"),
     Variant.DECAY_DECOUPLED: ("rt", "kt", "target_mode"),
-    Variant.COUPLED_SGD: ("rt", "kt", "target_mode", "beta1", "beta2", "epsilon"),
+    Variant.COUPLED_SGD: ("rt", "kt", "target_mode", "eta", "beta1", "beta2", "epsilon"),
     Variant.NORM_CONTROL: ("lambda",),
 }
 

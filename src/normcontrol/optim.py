@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -82,11 +82,20 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Step counter and first/second moment vectors (same shape as theta)."""
+    """Step counter and first/second moment vectors (same shape as theta).
+
+    ``scratch`` holds two more vectors, the rows of one block made here,
+    that a step uses for its full-size intermediates (m_hat and v_hat, or
+    SGD's alpha * g), so a step allocates no array of theta's size.
+    """
 
     t: int
     m: np.ndarray
     v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = tuple(np.empty((2,) + self.m.shape))
 
     @classmethod
     def zeros(cls, n: int) -> "OptimizerState":
@@ -96,7 +105,7 @@ class OptimizerState:
 @dataclass
 class StepReport:
     t: int
-    eta_t: float
+    eta_t: float  # applied: the eta schedule, else 1.0 under coupled SGD
     r_t: float  # applied: the rt schedule under norm control, else 0
     k_t: float  # applied: the kt schedule under norm control, else cfg.decay_rate(eta_t)
     target_norm: float  # what r_t asks for under sched.target_mode (0 unless norm control)
@@ -106,22 +115,24 @@ class StepReport:
 def adam_moment_update(
     state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Update the moment vectors in place and return bias-corrected copies.
+    """Update the moment vectors in place and return bias-corrected m_hat, v_hat.
 
     Expects state.t already incremented for the current step. At t == 1 the
     correction cancels algebraically (m = (1-b1)g, divisor 1-b1), so the
-    divide is skipped to keep m_hat == g and v_hat == g*g bitwise. The two
-    returned arrays are the only ones allocated; they also hold the
-    (1-b1)g and (1-b2)g*g terms on the way.
+    divide is skipped to keep m_hat == g and v_hat == g*g bitwise. The
+    returned arrays are ``state.scratch``, which also holds the
+    (1-b1)g and (1-b2)g*g terms on the way; they are valid until the next
+    step with this state. Nothing is allocated.
     """
     if state.t < 1:
         raise ValueError("state.t must be incremented before the moment update")
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
-    m_hat = np.multiply(g, 1.0 - cfg.beta1, out=np.empty_like(state.m))
+    m_hat, v_hat = state.scratch
+    np.multiply(g, 1.0 - cfg.beta1, out=m_hat)
     state.m *= cfg.beta1
     state.m += m_hat
-    v_hat = np.multiply(g, g, out=np.empty_like(state.v))
+    np.multiply(g, g, out=v_hat)
     v_hat *= 1.0 - cfg.beta2
     state.v *= cfg.beta2
     state.v += v_hat
@@ -202,17 +213,19 @@ def regularize_norm_control(
 
 
 def sgd_step_coupled_decay(
-    store: ParamStore, g: np.ndarray, alpha: float, weight_decay: float
+    store: ParamStore, g: np.ndarray, alpha: float, weight_decay: float,
+    out: np.ndarray | None = None,
 ) -> float:
     """One fused SGD step theta = (1 - lam) * theta - alpha * g.
 
     The decay (norm control at r_t = 0, k_t = lam) applies to controlled
-    groups, rounding as the fused formula. Returns the decay factor, 1 - lam.
+    groups, rounding as the fused formula. ``alpha * g`` is formed in ``out``
+    when given (a fresh array otherwise). Returns the decay factor, 1 - lam.
     """
     if g.shape != store.theta.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape {store.theta.shape}")
     factor = regularize_norm_control(store, 0.0, weight_decay)
-    store.theta -= alpha * g
+    store.theta -= np.multiply(alpha, g, out=out)
     return factor
 
 
@@ -233,19 +246,19 @@ def step(
     if t != state.t + 1:
         raise ValueError(f"step index {t} not consecutive with state.t={state.t}")
     state.t = t
-    eta_t = sched.eta_at(t)
+    # Coupled SGD applies no schedule multiplier, so it reports the 1.0 it applies.
+    eta_t = 1.0 if cfg.variant is Variant.COUPLED_SGD else sched.eta_at(t)
     if cfg.variant is Variant.NORM_CONTROL:
         r_t, k_t = sched.rt_at(t), sched.kt_at(t)
     else:
         r_t, k_t = 0.0, cfg.decay_rate(eta_t)
 
     if cfg.variant is Variant.COUPLED_SGD:
-        # Fused decay + gradient step; no moments, no schedule multiplier.
-        scale = sgd_step_coupled_decay(store, g, cfg.alpha, k_t)
+        # Fused decay + gradient step; no moments.
+        scale = sgd_step_coupled_decay(store, g, cfg.alpha, k_t, out=state.scratch[0])
     else:
         m_hat, v_hat = adam_moment_update(state, g, cfg)
         adam_param_update(store, m_hat, v_hat, eta_t, cfg)
-        del m_hat, v_hat  # not live during the regularization's norm pass
         scale = (1.0 if cfg.variant is Variant.NONE
                  else regularize_norm_control(store, r_t, k_t, sched.target_mode))
 

@@ -25,8 +25,9 @@ def quadratic_loss_grad(theta: np.ndarray, a_diag: np.ndarray, b: np.ndarray):
         raise ValueError("quadratic diagonal must be strictly positive")
     if theta.shape != a_diag.shape or theta.shape != b.shape:
         raise ValueError("theta, a_diag and b must have matching shapes")
-    loss = 0.5 * float(theta @ (a_diag * theta)) - float(b @ theta)
-    grad = a_diag * theta - b
+    grad = a_diag * theta
+    loss = 0.5 * float(theta @ grad) - float(b @ theta)
+    grad -= b
     return loss, grad
 
 

@@ -1,3 +1,4 @@
+import errno
 import json
 from pathlib import Path
 
@@ -171,6 +172,25 @@ def test_compare_checks_the_output_dir_before_the_runs(tmp_path, capsys, monkeyp
                      "--out-dir", str(out_dir)]) == 2, out_dir
         assert capsys.readouterr().err.startswith(f"error: cannot create {out_dir}: "), out_dir
     assert blocker.read_text() == "keep"
+
+
+def test_write_error_after_the_runs_exit_code(tmp_path, capsys, monkeypatch):
+    from normcontrol import harness
+
+    def disk_full(trace, path):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(harness.RunTrace, "write_csv", disk_full)
+    cfg_a, cfg_b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    cfg_a.write_text(DECAY_CFG)
+    cfg_b.write_text(RUN_CFG)
+    for argv in (["run", "--config", str(cfg_b), "--out", str(tmp_path / "t.csv")],
+                 ["compare", "--config-a", str(cfg_a), "--template-b", str(cfg_b),
+                  "--out-dir", str(tmp_path / "cmp")]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No space left on device" in err, argv[0]
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -379,15 +379,17 @@ class TestParseRunConfig:
             "line 6: kt: not read by variant coupled_sgd; ignored"]
 
     def test_the_keys_warned_about_do_not_change_the_run(self):
-        base = {"task": "mlp", "T": "30", "eval_every": "10", "rt": "const(1.5)",
-                "kt": "const(0.1)", "target_mode": "relative", "lambda": "0.1",
-                "beta1": "0.8", "beta2": "0.99", "epsilon": "1e-6"}
-        other = {"rt": "const(0.5)", "kt": "const(0.3)", "target_mode": "absolute",
-                 "lambda": "0.2", "beta1": "0.5", "beta2": "0.9", "epsilon": "1e-3"}
+        base = {"task": "mlp", "T": "30", "eval_every": "10", "eta": "cosine(1.0, 0.1)",
+                "rt": "const(1.5)", "kt": "const(0.1)", "target_mode": "relative",
+                "lambda": "0.1", "beta1": "0.8", "beta2": "0.99", "epsilon": "1e-6"}
+        other = {"eta": "cosine(0.5, 0.5)", "rt": "const(0.5)", "kt": "const(0.3)",
+                 "target_mode": "absolute", "lambda": "0.2", "beta1": "0.5", "beta2": "0.9",
+                 "epsilon": "1e-3"}
         unread = {Variant.NONE: {"rt", "kt", "target_mode", "lambda"},
                   Variant.DECAY_COUPLED_LR: {"rt", "kt", "target_mode"},
                   Variant.DECAY_DECOUPLED: {"rt", "kt", "target_mode"},
-                  Variant.COUPLED_SGD: {"rt", "kt", "target_mode", "beta1", "beta2", "epsilon"},
+                  Variant.COUPLED_SGD: {"rt", "kt", "target_mode", "eta", "beta1", "beta2",
+                                        "epsilon"},
                   Variant.NORM_CONTROL: {"lambda"}}
 
         def parse(values):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from normcontrol.optim import (
     step,
 )
 from normcontrol.params import ParamGroup, ParamStore
-from normcontrol.schedules import EtaTiedKt, PiecewiseLinearSpec, ScheduleSpec, TargetNormMode
+from normcontrol.schedules import (
+    CosineSpec,
+    EtaTiedKt,
+    PiecewiseLinearSpec,
+    ScheduleSpec,
+    TargetNormMode,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -294,6 +301,15 @@ def test_step_report_fields():
     assert list(store.theta) == [4.5, 6.0]
 
 
+def test_coupled_sgd_reports_the_multiplier_it_applies():
+    sched = ScheduleSpec(horizon=10, eta=CosineSpec(0.5, 0.5))
+    cfg = OptimizerConfig(alpha=0.1, weight_decay=0.5, variant=Variant.COUPLED_SGD)
+    store = one_group_store([2.0])
+    report = step(store, OptimizerState.zeros(1), np.array([1.0]), 1, sched, cfg)
+    assert report.eta_t == 1.0  # the schedule's 0.5 is never applied
+    assert store.theta[0] == 0.5 * 2.0 - 0.1 * 1.0
+
+
 def test_regularizers_return_the_applied_factor():
     assert regularize_decay(one_group_store([2.0]), 0.25) == 0.75
     assert sgd_step_coupled_decay(one_group_store([2.0]), np.array([1.0]), 0.1, 0.5) == 0.5
@@ -404,3 +420,88 @@ def test_config_validation():
         OptimizerConfig(alpha=0.0)
     with pytest.raises(ValueError, match="weight_decay"):
         OptimizerConfig(weight_decay=-0.1)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_step_allocates_no_full_size_array(variant):
+    # The certified norm keeps about 1 MB of block buffers whatever the store
+    # size, so the store is large enough (1.6 MB per array) to tell them apart
+    # from a temporary of theta's size.
+    n = 200_000
+    rng = np.random.default_rng(5)
+    store = mixed_store(rng.normal(size=n - n // 10), rng.normal(size=n // 10))
+    state = OptimizerState.zeros(n)
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(1.5))
+    cfg = OptimizerConfig(weight_decay=0.1, variant=variant)
+    g = rng.normal(size=n)
+    step(store, state, g, 1, sched, cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        step(store, state, g, 2, sched, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.nbytes, f"{variant.value}: step peaked at {peak} bytes"
+
+
+def test_states_stepped_in_turn_match_each_run_alone():
+    n, steps = 50, 20
+    rng = np.random.default_rng(8)
+    theta0, grads = rng.normal(size=n), rng.normal(size=(steps, n))
+    sched = ScheduleSpec(horizon=steps, rt=PiecewiseLinearSpec.const(1.5))
+    cfgs = [OptimizerConfig(beta1=0.8, weight_decay=0.1, variant=variant)
+            for variant in (Variant.NORM_CONTROL, Variant.DECAY_COUPLED_LR, Variant.COUPLED_SGD)]
+
+    def fresh():
+        return one_group_store(theta0 * 2.0), OptimizerState.zeros(n)
+
+    alone = []
+    for cfg in cfgs:
+        store, state = fresh()
+        for t in range(1, steps + 1):
+            step(store, state, grads[t - 1], t, sched, cfg)
+        alone.append((store.theta, state.m, state.v))
+    runs = [fresh() for _ in cfgs]
+    for t in range(1, steps + 1):
+        for (store, state), cfg in zip(runs, cfgs):
+            step(store, state, grads[t - 1], t, sched, cfg)
+    for (store, state), want in zip(runs, alone):
+        for got, ref in zip((store.theta, state.m, state.v), want):
+            assert np.array_equal(got, ref)
+
+    # Moment updates of two states, then both parameter updates: each state's
+    # m_hat and v_hat survive the other state's moment update.
+    cfgs = [OptimizerConfig(beta1=0.9), OptimizerConfig(beta1=0.5, beta2=0.9)]
+
+    def adam(pairs):
+        for t in range(1, steps + 1):
+            for (_, state), _ in pairs:
+                state.t = t
+            moments = [adam_moment_update(state, grads[t - 1], cfg) for (_, state), cfg in pairs]
+            for ((store, _), cfg), (m_hat, v_hat) in zip(pairs, moments):
+                adam_param_update(store, m_hat, v_hat, 1.0, cfg)
+
+    alone = []
+    for cfg in cfgs:
+        run = fresh()
+        adam([(run, cfg)])
+        alone.append(run)
+    runs = [fresh() for _ in cfgs]
+    adam(list(zip(runs, cfgs)))
+    for (store, state), (ref_store, ref_state) in zip(runs, alone):
+        for got, ref in zip((store.theta, state.m, state.v),
+                            (ref_store.theta, ref_state.m, ref_state.v)):
+            assert np.array_equal(got, ref)
+
+
+def test_a_state_built_from_its_fields_gets_its_own_scratch():
+    n = 7
+    first = OptimizerState.zeros(n)
+    copy = OptimizerState(first.t, first.m.copy(), first.v.copy())
+    for state in (first, copy):
+        assert [row.shape for row in state.scratch] == [(n,), (n,)]
+        assert not np.shares_memory(*state.scratch)
+        for row in state.scratch:
+            assert not np.shares_memory(row, state.m) and not np.shares_memory(row, state.v)
+    for row in first.scratch:
+        assert not any(np.shares_memory(row, other) for other in copy.scratch)

@@ -36,6 +36,23 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="positive"):
             quadratic_loss_grad(np.ones(1), np.array([0.0]), np.ones(1))
 
+    def test_bitwise_equal_to_the_two_expression_formula(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 1000, 4097):
+            theta, b = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), rng.normal(size=n)
+            a = rng.uniform(0.01, 100.0, n)
+            loss, grad = quadratic_loss_grad(theta, a, b)
+            assert loss == 0.5 * float(theta @ (a * theta)) - float(b @ theta), n
+            assert np.array_equal(grad, a * theta - b), n
+
+    def test_bad_diagonal_or_shapes_rejected(self):
+        for a in ([1.0, -2.0, 3.0], [1.0, 2.0, 0.0], [-0.0, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="positive"):
+                quadratic_loss_grad(np.ones(3), np.array(a), np.ones(3))
+        for theta, a, b in ((3, 2, 3), (3, 3, 2), (2, 3, 3)):
+            with pytest.raises(ValueError, match="matching shapes"):
+                quadratic_loss_grad(np.ones(theta), np.ones(a), np.ones(b))
+
 
 class TestLogistic:
     def test_zero_theta_gives_ln2(self):
