@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: run a config, compare a decay run against a calibrated
-norm-control run, tabulate schedules, and check task gradients.
+norm-control run, tabulate the schedule values a run applies, and check
+task gradients.
 
 Exit codes: 0 on success, 2 on config/parse errors (``line N: key:
 message``) and on an output path that cannot be written, found before any
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import harness, tasks, verify
 from .harness import RunConfig
-from .schedules import parse_schedule_spec
 
 GRAD_TOLERANCES = {"quadratic": 1e-9, "logistic": 1e-6, "mlp": 1e-5}
 
@@ -48,9 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--template-b", required=True, help="norm-control run config (rt is replaced)")
     p_cmp.add_argument("--out-dir", required=True)
 
-    p_sched = sub.add_parser("schedule", help="tabulate eta/rt/kt values")
-    p_sched.add_argument("--config", required=True, help="config file with schedule keys")
-    p_sched.add_argument("--stride", type=int, required=True)
+    p_sched = sub.add_parser("schedule", help="tabulate the eta/rt/kt values a run applies")
+    p_sched.add_argument("--config", required=True, help="run config file")
+    p_sched.add_argument("--stride", type=_int_at_least(1), required=True)
     p_sched.add_argument("--out", required=True, help="schedule table CSV path")
 
     p_grad = sub.add_parser("check-grad", help="check analytic gradients and core properties")
@@ -100,9 +100,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    # A run config or a schedule-only file: run keys are skipped unread, others rejected.
-    spec = parse_schedule_spec(Path(args.config).read_text(), skip=harness.RUN_KEYS)
-    csv_text = harness.schedule_table_csv(spec, args.stride)
+    config = harness.parse_run_config(Path(args.config).read_text())
+    csv_text = harness.schedule_table_csv(config.schedules, config.optimizer, args.stride)
     Path(args.out).write_text(csv_text)
     print(f"wrote {args.out}: {csv_text.count(chr(10)) - 1} rows")
     return 0

@@ -92,14 +92,6 @@ class RunTrace:
     rows: list[TraceRow]
     initial_norm: float
 
-    @property
-    def final_norm_ratio(self) -> float:
-        return self.rows[-1].norm_ratio
-
-    @property
-    def final_val_loss(self) -> float:
-        return self.rows[-1].val_loss
-
     def to_csv(self) -> str:
         lines = [TRACE_HEADER]
         names = TRACE_HEADER.split(",")[1:]
@@ -286,28 +278,31 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
     loss_a = {r.t: r.val_loss for r in trace_a.rows}
     rel = [(r.t, r.val_loss / loss_a[r.t]) for r in trace_b.rows
            if r.t in loss_a and loss_a[r.t] != 0.0]
+    last_a, last_b = trace_a.rows[-1], trace_b.rows[-1]
     return ComparisonReport(
         trace_a=trace_a,
         trace_b=trace_b,
-        final_ratio_a=trace_a.final_norm_ratio,
-        final_ratio_b=trace_b.final_norm_ratio,
-        ratio_gap=abs(trace_a.final_norm_ratio - trace_b.final_norm_ratio),
-        final_val_loss_a=trace_a.final_val_loss,
-        final_val_loss_b=trace_b.final_val_loss,
+        final_ratio_a=last_a.norm_ratio,
+        final_ratio_b=last_b.norm_ratio,
+        ratio_gap=abs(last_a.norm_ratio - last_b.norm_ratio),
+        final_val_loss_a=last_a.val_loss,
+        final_val_loss_b=last_b.val_loss,
         rel_val_loss=rel,
     )
 
 
-def emit_schedule_table(spec: ScheduleSpec, stride: int) -> list[tuple[int, float, float, float]]:
-    """Tabulate (t, eta_t, r_t, k_t) at t = 0, stride, ..., horizon."""
+def emit_schedule_table(spec: ScheduleSpec, cfg: OptimizerConfig,
+                        stride: int) -> list[tuple[int, float, float, float]]:
+    """Tabulate (t, eta_t, r_t, k_t) at t = 0, stride, ..., horizon: the values a
+    step of cfg's variant applies (optim.applied_schedule), as a trace records them."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     steps = list(range(0, spec.horizon, stride)) + [spec.horizon]
-    return [(t, spec.eta_at(t), spec.rt_at(t), spec.kt_at(t)) for t in steps]
+    return [(t, *optim.applied_schedule(spec, cfg, t)) for t in steps]
 
 
-def schedule_table_csv(spec: ScheduleSpec, stride: int) -> str:
+def schedule_table_csv(spec: ScheduleSpec, cfg: OptimizerConfig, stride: int) -> str:
     lines = ["t,eta_t,r_t,k_t"]
-    for t, eta, r, k in emit_schedule_table(spec, stride):
+    for t, eta, r, k in emit_schedule_table(spec, cfg, stride):
         lines.append(f"{t},{_fmt(eta)},{_fmt(r)},{_fmt(k)}")
     return "\n".join(lines) + "\n"

@@ -13,8 +13,8 @@ update scaled by eta_t * alpha, then exactly one regularization variant:
   gradient step (no Adam machinery), kept for reference comparisons,
 * ``NONE``              -- bare Adam.
 
-Every decay is norm control with r_t = 0: ``step`` reads r_t and k_t from the
-schedules under NORM_CONTROL only and otherwise uses r_t = 0 and
+Every decay is norm control with r_t = 0: ``applied_schedule`` reads r_t and
+k_t from the schedules under NORM_CONTROL only and otherwise uses r_t = 0 and
 k_t = ``OptimizerConfig.decay_rate(eta_t)``, so every regularized variant
 scales the controlled groups through ``regularize_norm_control``. Norm
 control under ``schedules.EtaTiedKt`` reproduces a decay variant bit for bit.
@@ -80,7 +80,7 @@ class OptimizerConfig:
         return 0.0
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no truth value, so == is identity
 class OptimizerState:
     """Step counter and first/second moment vectors (same shape as theta).
 
@@ -92,7 +92,7 @@ class OptimizerState:
     t: int
     m: np.ndarray
     v: np.ndarray
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scratch = tuple(np.empty((2,) + self.m.shape))
@@ -229,6 +229,19 @@ def sgd_step_coupled_decay(
     return factor
 
 
+def applied_schedule(sched, cfg: OptimizerConfig, t: int) -> tuple[float, float, float]:
+    """(eta_t, r_t, k_t) that a step of cfg's variant applies at step t.
+
+    Coupled SGD applies no schedule multiplier, so its eta_t is 1.0. Norm
+    control reads r_t and k_t from the schedules; every other variant is norm
+    control at r_t = 0 and k_t = cfg.decay_rate(eta_t).
+    """
+    eta_t = 1.0 if cfg.variant is Variant.COUPLED_SGD else sched.eta_at(t)
+    if cfg.variant is Variant.NORM_CONTROL:
+        return eta_t, sched.rt_at(t), sched.kt_at(t)
+    return eta_t, 0.0, cfg.decay_rate(eta_t)
+
+
 def step(
     store: ParamStore,
     state: OptimizerState,
@@ -246,12 +259,7 @@ def step(
     if t != state.t + 1:
         raise ValueError(f"step index {t} not consecutive with state.t={state.t}")
     state.t = t
-    # Coupled SGD applies no schedule multiplier, so it reports the 1.0 it applies.
-    eta_t = 1.0 if cfg.variant is Variant.COUPLED_SGD else sched.eta_at(t)
-    if cfg.variant is Variant.NORM_CONTROL:
-        r_t, k_t = sched.rt_at(t), sched.kt_at(t)
-    else:
-        r_t, k_t = 0.0, cfg.decay_rate(eta_t)
+    eta_t, r_t, k_t = applied_schedule(sched, cfg, t)
 
     if cfg.variant is Variant.COUPLED_SGD:
         # Fused decay + gradient step; no moments.

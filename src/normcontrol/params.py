@@ -184,10 +184,10 @@ def _certified_sum(blocks, n: int) -> float | None:
     bit for bit. When T lies within `bound` of a rounding boundary (an exact
     tie, say) the check fails and None tells the caller to use math.fsum.
 
-    Each block is a float64 array of at most _BLOCK elements; the reduction
-    overwrites it.
+    Each block is a float64 array of at most min(n, _BLOCK) elements; the
+    reduction overwrites it.
     """
-    half = _BLOCK // 2 + 1
+    half = min(n, _BLOCK) // 2 + 1
     s_buf, b_buf = np.empty(half), np.empty(half)
     terms: list[float] = []
     err = 0.0

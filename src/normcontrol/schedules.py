@@ -260,12 +260,12 @@ SCHEDULE_KEYS = {
 def parse_assignments(text: str, keys: dict, build):
     """One pass over the ``key = value`` lines of text through a key table.
 
-    keys maps each accepted key to (dataclass, field, parser), or to None for
-    a key that is known but skipped unread. Returns (build({dataclass:
-    {field: value}}), {key: line}). Blank lines and ``#`` comments are
-    dropped. A malformed line, an unknown or repeated key, a value a parser
-    or a dataclass check rejects, or a missing required key (its field has
-    no default) raises ConfigError with the key and, if it was set, its line.
+    keys maps each accepted key to (dataclass, field, parser). Returns
+    (build({dataclass: {field: value}}), {key: line}). Blank lines and ``#``
+    comments are dropped. A malformed line, an unknown or repeated key, a
+    value a parser or a dataclass check rejects, or a missing required key
+    (its field has no default) raises ConfigError with the key and, if it
+    was set, its line.
     """
     fields: dict = {}
     lines: dict[str, int] = {}
@@ -282,31 +282,26 @@ def parse_assignments(text: str, keys: dict, build):
         if key in lines:
             raise ConfigError(key, f"duplicate key (first set on line {lines[key]})", lineno)
         lines[key] = lineno
-        if keys[key] is None:
-            continue
         owner, name, parse = keys[key]
         try:
             fields.setdefault(owner, {})[name] = parse(value)
         except ValueError as e:
             raise ConfigError(key, str(e), lineno) from None
-    for key, entry in keys.items():
-        if entry is not None and key not in lines:
-            field_def = entry[0].__dataclass_fields__[entry[1]]
+    for key, (owner, name, _) in keys.items():
+        if key not in lines:
+            field_def = owner.__dataclass_fields__[name]
             if field_def.default is MISSING and field_def.default_factory is MISSING:
                 raise ConfigError(key, "missing required key")
     try:
         return build(fields), lines
     except ConfigError as e:
-        key = next((k for k, entry in keys.items() if entry and entry[1] == e.key), e.key)
+        key = next((k for k, (_, name, _) in keys.items() if name == e.key), e.key)
         raise ConfigError(key, e.message, lines.get(key)) from None
 
 
-def parse_schedule_spec(text: str, skip=()) -> ScheduleSpec:
-    """Parse the line-oriented schedule format into a validated ScheduleSpec.
-
-    Every key must be a schedule key or one of skip, which are read past.
-    """
-    return parse_assignments(text, dict.fromkeys(skip) | SCHEDULE_KEYS,
+def parse_schedule_spec(text: str) -> ScheduleSpec:
+    """Parse the line-oriented schedule format into a validated ScheduleSpec."""
+    return parse_assignments(text, SCHEDULE_KEYS,
                              lambda fields: ScheduleSpec(**fields[ScheduleSpec]))[0]
 
 

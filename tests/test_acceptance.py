@@ -202,7 +202,8 @@ def test_criterion_6_schedule_endpoints():
         for T in (100, 1000, 50_000)
     )
     spec = ScheduleSpec(horizon=5000, rt=PiecewiseLinearSpec.linear([(0, 1.0), (2500, 2.415)]))
-    table = {t: r for t, _, r, _ in emit_schedule_table(spec, 500)}
+    table = {t: r for t, _, r, _ in emit_schedule_table(
+        spec, OptimizerConfig(variant=Variant.NORM_CONTROL), 500)}
     rt_ok = table[0] == 1.0 and table[2500] == 2.415
     _report(6, eta_ok and rt_ok,
             "eta(0)=1.0 and eta(T)=0.1 exactly; rt table hits (0,1.0) and (2500,2.415) exactly",

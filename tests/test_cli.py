@@ -52,10 +52,27 @@ def test_schedule_rejects_unknown_keys(tmp_path, capsys):
                      "--out", str(out)]) == 0
     cfg = tmp_path / "s.cfg"
     cfg.write_text("T = 100\nkt = const(0.5)\n")  # schedule keys only, no task
-    assert main(["schedule", "--config", str(cfg), "--stride", "50", "--out", str(out)]) == 0
+    assert main(["schedule", "--config", str(cfg), "--stride", "50", "--out", str(out)]) == 2
+    assert "task: missing required key" in capsys.readouterr().err
     cfg.write_text(RUN_CFG + "Kt = const(0.5)\n")
     assert main(["schedule", "--config", str(cfg), "--stride", "50", "--out", str(out)]) == 2
     assert "line 11: unknown key 'Kt'" in capsys.readouterr().err
+
+
+def test_schedule_shows_what_the_run_applies(tmp_path):
+    # AdamW applies k_t = eta_t * alpha * lambda, not the unset kt schedule.
+    out = tmp_path / "table.csv"
+    assert main(["schedule", "--config", str(CONFIGS_DIR / "mlp_adamw.cfg"), "--stride", "1000",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2] == "1000,0.77500000000000002,0,7.7500000000000014e-05"
+
+
+def test_schedule_rejects_a_stride_below_one_before_reading(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", "--config", str(tmp_path / "missing.cfg"), "--stride", "0",
+              "--out", str(tmp_path / "table.csv")])
+    assert exc.value.code == 2
+    assert "--stride" in capsys.readouterr().err
 
 
 def test_compare_subcommand(tmp_path):

@@ -267,23 +267,40 @@ class TestCompare:
 
 
 class TestScheduleTable:
+    NC = OptimizerConfig(variant=Variant.NORM_CONTROL)
+
     def test_breakpoints_reproduced_exactly(self):
         spec = ScheduleSpec(horizon=1000, rt=PiecewiseLinearSpec.linear([(0, 1.0), (500, 2.0)]))
-        rows = {t: r for t, _, r, _ in emit_schedule_table(spec, 100)}
+        rows = {t: r for t, _, r, _ in emit_schedule_table(spec, self.NC, 100)}
         assert rows[0] == 1.0 and rows[500] == 2.0 and rows[1000] == 2.0
 
     def test_rt_zero_gives_all_zero_column(self):
         spec = ScheduleSpec(horizon=100, rt=PiecewiseLinearSpec.const(0.0))
-        assert all(r == 0.0 for _, _, r, _ in emit_schedule_table(spec, 10))
+        assert all(r == 0.0 for _, _, r, _ in emit_schedule_table(spec, self.NC, 10))
 
     def test_stride_equal_horizon_gives_two_rows(self):
         spec = ScheduleSpec(horizon=100)
-        table = emit_schedule_table(spec, 100)
+        table = emit_schedule_table(spec, self.NC, 100)
         assert [t for t, *_ in table] == [0, 100]
 
     def test_csv_header(self):
         spec = ScheduleSpec(horizon=10)
-        assert schedule_table_csv(spec, 5).splitlines()[0] == "t,eta_t,r_t,k_t"
+        assert schedule_table_csv(spec, self.NC, 5).splitlines()[0] == "t,eta_t,r_t,k_t"
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_table_equals_trace(self, variant):
+        # What the table shows is what a run of the same config applies.
+        cfg = make_config(task="mlp", variant=variant, T=200, eval_every=40, lam=0.05,
+                          eta=CosineSpec(1.0, 0.1, warmup_steps=50),
+                          rt=PiecewiseLinearSpec.linear([(0, 1.0), (90, 1.4)]),
+                          kt=PiecewiseLinearSpec.linear([(0, 0.2), (150, 0.05)]))
+        table = schedule_table_csv(cfg.schedules, cfg.optimizer, cfg.eval_every)
+        trace = run(cfg).to_csv().splitlines()
+        columns = trace[0].split(",")
+        picks = [columns.index(name) for name in ("t", "eta_t", "r_t", "k_t")]
+        rows = [",".join(row.split(",")[i] for i in picks) for row in trace[1:]]
+        assert len(rows) == 5
+        assert rows == table.splitlines()[2:]  # the table's t = 0 row precedes any step
 
 
 class TestParseRunConfig:
@@ -294,7 +311,8 @@ class TestParseRunConfig:
     )
 
     def test_full_config(self):
-        cfg = parse_run_config(self.GOOD)
+        with pytest.warns(UserWarning, match="^line 8: lambda: not read by variant norm_control"):
+            cfg = parse_run_config(self.GOOD)
         assert cfg.task == "mlp" and cfg.dim == 6 and cfg.hidden == 12
         assert cfg.batch_size == 16 and cfg.seed == 3 and cfg.eval_every == 10
         assert cfg.optimizer.variant is Variant.NORM_CONTROL

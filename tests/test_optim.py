@@ -505,3 +505,9 @@ def test_a_state_built_from_its_fields_gets_its_own_scratch():
             assert not np.shares_memory(row, state.m) and not np.shares_memory(row, state.v)
     for row in first.scratch:
         assert not any(np.shares_memory(row, other) for other in copy.scratch)
+
+
+def test_state_equality_is_identity():
+    state = OptimizerState.zeros(3)
+    assert state == state
+    assert state != OptimizerState.zeros(3)

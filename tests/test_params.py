@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -231,3 +232,17 @@ def test_exact_tie_reaches_the_fsum_fallback():
     assert ParamStore(x, [ParamGroup("w", 0, x.size)]).controlled_norm() == 0.5
     squares[3] = 2.0**-60  # off the tie: certified, and still fsum's value
     assert params._certified_sum([squares.copy()], squares.size) == math.fsum(squares.tolist())
+
+
+def test_certified_norm_buffers_fit_the_store():
+    # A store just past _EXACT_CUTOFF takes the blockwise path; its buffers
+    # hold what the store needs, not two half-blocks of _BLOCK floats.
+    n = params._EXACT_CUTOFF
+    store = ParamStore(np.random.default_rng(4).normal(size=n), [ParamGroup("w", 0, n)])
+    tracemalloc.start()
+    try:
+        store.controlled_norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"controlled_norm peaked at {peak} bytes for {n} elements"

@@ -89,8 +89,6 @@ class TestParse:
         text = "T = 10\nbogus = 1\n"
         with pytest.raises(ConfigError, match="^line 2: unknown key 'bogus'$"):
             parse_schedule_spec(text)
-        # a skipped key is known and read past unparsed
-        assert parse_schedule_spec(text, skip=["bogus"]) == ScheduleSpec(horizon=10)
 
     def test_comments_and_blanks_ignored(self):
         spec = parse_schedule_spec("\n# header\nT = 42  # trailing\n\n")

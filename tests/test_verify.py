@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from normcontrol import harness, optim
 from normcontrol.optim import OptimizerConfig, OptimizerState, Variant, step
 from normcontrol.params import ParamGroup, ParamStore
-from normcontrol.schedules import CosineSpec, PiecewiseLinearSpec, ScheduleSpec
+from normcontrol.schedules import CosineSpec, PiecewiseLinearSpec, ScheduleSpec, TargetNormMode
 from normcontrol.verify import (
     PropertyResult,
     SuiteReport,
@@ -114,6 +117,62 @@ def test_near_zero_theta_with_positive_target_stays_finite():
     oracle.initial_norm = 1.0
     oracle_step(oracle, np.zeros(dim), 2, 1.0, 2.0, 0.5, cfg)
     assert all(math.isfinite(x) for x in oracle.theta)
+
+
+@st.composite
+def run_configs(draw):
+    """Small runs over every variant, target mode, warmup and multi-breakpoint schedule."""
+    horizon = draw(st.integers(20, 200))
+
+    def piecewise(lo, hi):
+        ts = sorted(draw(st.sets(st.integers(1, horizon), max_size=3)))
+        values = st.floats(lo, hi, allow_nan=False)
+        return PiecewiseLinearSpec.linear([(0, draw(values))] + [(t, draw(values)) for t in ts])
+
+    eta_max = draw(st.floats(0.1, 1.0))
+    sched = ScheduleSpec(
+        horizon=horizon,
+        eta=CosineSpec(eta_max, draw(st.floats(0.01, 1.0)) * eta_max,
+                       draw(st.integers(0, horizon // 2))),
+        rt=piecewise(0.0, 3.0), kt=piecewise(0.0, 1.0),
+        target_mode=draw(st.sampled_from(TargetNormMode)))
+    opt = OptimizerConfig(alpha=draw(st.floats(1e-4, 0.1)),
+                          weight_decay=draw(st.floats(0.0, 0.5)),
+                          variant=draw(st.sampled_from(Variant)))
+    return harness.RunConfig(task=draw(st.sampled_from(("quadratic", "logistic", "mlp"))),
+                             schedules=sched, optimizer=opt, dim=draw(st.integers(1, 5)),
+                             hidden=draw(st.integers(1, 5)), batch_size=8,
+                             seed=draw(st.integers(0, 2**16)), eval_every=horizon,
+                             control_biases=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_configs())
+def test_harness_run_agrees_with_the_oracle_at_every_step(config):
+    # Before each step of harness.run, mirror the store into the oracle and
+    # step it with the raw schedule values: oracle_step encodes each variant
+    # on its own, so this also checks what optim.applied_schedule picks.
+    initial_norm = oracle_from_store(harness.initialize_run(config)[1]).initial_norm
+    production_step = optim.step
+    steps = []
+
+    def checked_step(store, state, g, t, sched, cfg):
+        oracle = oracle_from_store(store, state)
+        oracle.initial_norm = initial_norm
+        report = production_step(store, state, g, t, sched, cfg)
+        oracle_step(oracle, g.tolist(), t, sched.eta_at(t), sched.rt_at(t), sched.kt_at(t),
+                    cfg, sched.target_mode)
+        want = np.array(oracle.theta)
+        allowed = np.maximum(1e-13 * np.maximum(np.abs(store.theta), np.abs(want)), 1e-15)
+        bad = np.flatnonzero(~(np.abs(store.theta - want) <= allowed))
+        assert bad.size == 0, (t, bad[:5], store.theta[bad[:5]], want[bad[:5]])
+        steps.append(t)
+        return report
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optim, "step", checked_step)
+        harness.run(config)
+    assert steps == list(range(1, config.steps + 1))
 
 
 class TestPropertySuite:
