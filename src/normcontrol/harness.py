@@ -174,17 +174,21 @@ def initialize_run(config: RunConfig):
 
 
 def run(config: RunConfig) -> RunTrace:
-    """Execute the full training loop and return the logged trace.
+    """Execute the full training loop (_logged_rows) and return the logged trace."""
+    task, store, rng = initialize_run(config)
+    return RunTrace(list(_logged_rows(config, task, store, rng)), store.initial_norm)
+
+
+def _logged_rows(config: RunConfig, task, store: ParamStore, rng):
+    """The training loop: yield each trace row as soon as it is logged.
 
     Logs every eval_every steps and at the final step; the controlled norm
     is measured for those rows only. Any component error, or a non-finite
     loss or gradient, aborts with the failing step index before the
     optimizer sees that step's gradient.
     """
-    task, store, rng = initialize_run(config)
     state = OptimizerState.zeros(store.theta.size)
     sched = config.schedules
-    rows: list[TraceRow] = []
     for t in range(1, config.steps + 1):
         try:
             batch = task.sample_batch(rng, config.batch_size)
@@ -199,7 +203,7 @@ def run(config: RunConfig) -> RunTrace:
         if t % config.eval_every == 0 or t == config.steps:
             val_loss, _ = task.loss_and_grad(store.theta, task.val_batch())
             norm = store.controlled_norm()
-            rows.append(TraceRow(
+            yield TraceRow(
                 t=t,
                 train_loss=train_loss,
                 val_loss=val_loss,
@@ -210,22 +214,67 @@ def run(config: RunConfig) -> RunTrace:
                 actual_norm=norm,
                 norm_ratio=norm / store.initial_norm,
                 grad_norm=float(np.linalg.norm(g)),
-            ))
-    return RunTrace(rows, store.initial_norm)
+            )
+
+
+def _rt_breakpoints(reference_rows):
+    """The calibration rule: (0, 1.0), then (t, norm_ratio) for every reference row."""
+    yield 0, 1.0
+    for row in reference_rows:
+        if row.norm_ratio <= 0.0:
+            raise ValueError(f"reference norm ratio must be > 0, got {row.norm_ratio} at t={row.t}")
+        yield row.t, row.norm_ratio
 
 
 def calibrate_rt_from_run(reference_trace: RunTrace) -> PiecewiseLinearSpec:
-    """Schedule rt to follow the reference run's measured norm trajectory.
+    """rt that follows the reference's measured norm ratio: linear between _rt_breakpoints."""
+    return PiecewiseLinearSpec.linear(_rt_breakpoints(reference_trace.rows))
 
-    Breakpoints are (0, 1.0) and (t, norm_ratio) for every row of the
-    reference trace: linear in between, so at each of those steps rt is the
-    measured ratio exactly.
-    """
-    for row in reference_trace.rows:
-        if row.norm_ratio <= 0.0:
-            raise ValueError(f"reference norm ratio must be > 0, got {row.norm_ratio} at t={row.t}")
-    return PiecewiseLinearSpec.linear([(0, 1.0)] + [(row.t, row.norm_ratio)
-                                                    for row in reference_trace.rows])
+
+def _send_rows(config: RunConfig, send) -> None:  # the reference process's body
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on an interrupt, the parent stops this process
+    try:
+        task, store, rng = initialize_run(config)
+        for row in _logged_rows(config, task, store, rng):
+            send.send(row)
+        send.send(store.initial_norm)
+    except Exception as e:
+        send.send(e)
+
+
+class _StreamedRt(PiecewiseLinearSpec):
+    """calibrate_rt_from_run's rt for run(config) in self.child: waits for rows up to t."""
+
+    def __init__(self, config: RunConfig):
+        import multiprocessing  # not on the import path of run and check-grad
+        self.receive, send = multiprocessing.Pipe(duplex=False)
+        self.child = multiprocessing.Process(target=_send_rows, args=(config, send))
+        self.child.start()
+        send.close()
+        self.rows, self.outcome = [], None
+        self._breakpoints = _rt_breakpoints(self.arrivals())
+        super().__init__([next(self._breakpoints)])
+
+    def arrivals(self):
+        """The child's rows as they arrive; then its error, if its run failed."""
+        while self.outcome is None:
+            try:
+                message = self.receive.recv()
+            except EOFError:
+                message = RuntimeError("the reference run ended without a result")
+            if isinstance(message, TraceRow):
+                self.rows.append(message)
+                yield message
+            else:
+                self.outcome = message  # the initial norm, or the run's error
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+
+    def value_at(self, t: int) -> float:
+        while self.points[-1][0] < t:
+            self.points.append(next(self._breakpoints))
+        return super().value_at(t)
 
 
 @dataclass
@@ -251,10 +300,11 @@ def _experiment(config: RunConfig) -> dict:
 def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonReport:
     """Run a decay reference, calibrate rt from it, run norm control, report.
 
-    config_b_template must use the NORM_CONTROL variant with a relative
-    target_mode, and describe A's experiment: every key of _experiment equal
-    to A's. Its rt schedule is replaced by A's measured norm trajectory
-    (calibrate_rt_from_run). All of this is checked before config_a runs.
+    config_b_template must use the NORM_CONTROL variant with a relative target_mode, and
+    describe A's experiment: every key of _experiment equal to A's. Its rt schedule is
+    replaced by A's measured norm trajectory (calibrate_rt_from_run). All of this is checked
+    before config_a runs. A runs in a child process beside B, with the outputs and errors
+    of running A, then B.
     """
     if config_a.optimizer.variant not in (Variant.DECAY_COUPLED_LR, Variant.DECAY_DECOUPLED,
                                           Variant.COUPLED_SGD):
@@ -269,11 +319,21 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
     if config_b_template.schedules.target_mode is not TargetNormMode.RELATIVE:
         raise ConfigError("target_mode", "template B must be relative, since the "
                                          "calibrated rt is a norm ratio")
-    trace_a = run(config_a)
-    rt = calibrate_rt_from_run(trace_a)
-    config_b = replace(config_b_template,
-                       schedules=replace(config_b_template.schedules, rt=rt))
-    trace_b = run(config_b)
+    rt = _StreamedRt(config_a)
+    try:
+        try:
+            trace_b = run(replace(config_b_template,
+                                  schedules=replace(config_b_template.schedules, rt=rt)))
+        except Exception as e:
+            trace_b = e  # raised after A's errors, as when A runs first
+        list(rt.arrivals())  # A to its end; raises A's error
+    finally:  # stops the child if it still runs, as after an interrupt
+        rt.child.terminate()
+        rt.child.join()
+    trace_a = RunTrace(rt.rows, rt.outcome)
+    replace(config_b_template.schedules, rt=calibrate_rt_from_run(trace_a))  # checks A's rt
+    if isinstance(trace_b, Exception):
+        raise trace_b
 
     loss_a = {r.t: r.val_loss for r in trace_a.rows}
     rel = [(r.t, r.val_loss / loss_a[r.t]) for r in trace_b.rows

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -119,14 +120,13 @@ class PiecewiseLinearSpec:
         if t < 0:
             raise ValueError(f"step index must be >= 0, got {t}")
         pts = self.points
-        if t >= pts[-1][0]:
+        i = bisect_right(pts, t, key=lambda point: point[0])  # pts[i - 1][0] <= t < pts[i][0]
+        if i == len(pts):
             return pts[-1][1]
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t == t0:
-                return v0
-            if t0 < t < t1:
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return pts[0][1]
+        (t0, v0), (t1, v1) = pts[max(i - 1, 0)], pts[i]
+        if t <= t0:
+            return v0
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
 @dataclass(frozen=True)

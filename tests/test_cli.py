@@ -1,5 +1,6 @@
 import errno
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -179,7 +180,7 @@ def test_compare_checks_the_output_dir_before_the_runs(tmp_path, capsys, monkeyp
     def no_run(config):
         raise AssertionError("run A started before the output directory was checked")
 
-    monkeypatch.setattr(harness, "run", no_run)
+    monkeypatch.setattr(harness, "_StreamedRt", no_run)
     blocker = tmp_path / "a_file"
     blocker.write_text("keep")
     for out_dir in (blocker, blocker / "sub" / "dir"):
@@ -240,7 +241,7 @@ def test_compare_rejects_a_template_of_another_experiment(tmp_path, capsys, monk
     def no_run(config):
         raise AssertionError("run A started before the template was checked")
 
-    monkeypatch.setattr(harness, "run", no_run)
+    monkeypatch.setattr(harness, "_StreamedRt", no_run)
     shipped = (CONFIGS_DIR / "mlp_norm_control.cfg").read_text()
     templates = {
         "target_mode": shipped.replace("target_mode = relative", "target_mode = absolute"),
@@ -257,3 +258,100 @@ def test_compare_rejects_a_template_of_another_experiment(tmp_path, capsys, monk
         assert rc == 2, key
         assert capsys.readouterr().err.startswith(f"error: {key}: "), key
         assert not (tmp_path / key).exists(), key
+
+
+def _shipped(name, **changes):
+    """A shipped config's text with keys replaced, appended when absent, or dropped when None."""
+    lines = (CONFIGS_DIR / name).read_text().splitlines()
+    for key, value in changes.items():
+        at = [i for i, line in enumerate(lines) if line.split("=")[0].strip() == key]
+        if value is None:
+            del lines[at[0]]
+        elif at:
+            lines[at[0]] = f"{key} = {value}"
+        else:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+DIVERGING_A = {"lambda": "1e-301", "alpha": "1e300"}  # decay rate 0.1; loss inf at step 2
+DIVERGING_B = {"alpha": "1.7e308"}                      # overflows in step 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("a_changes, b_changes, rc, line", [
+    (DIVERGING_A, {}, 3, "numeric error: run aborted at step 2: non-finite training loss inf"),
+    ({}, DIVERGING_B, 3, "numeric error: run aborted at step 1: math range error"),
+    (DIVERGING_A, DIVERGING_B, 3,
+     "numeric error: run aborted at step 2: non-finite training loss inf"),
+    # a decay rate of exactly 1 takes A's norm to 0 at every step
+    ({"variant": "decay_decoupled", "lambda": "1.0", "eta": "cosine(1.0, 1.0)"},
+     {"eta": "cosine(1.0, 1.0)"}, 2, "error: reference norm ratio must be > 0, got 0.0 at t=50"),
+    # B stops at step 1 while A still has 3,000 rows to send
+    ({"eval_every": "1"}, {"eval_every": "1", **DIVERGING_B}, 3,
+     "numeric error: run aborted at step 1: math range error"),
+    # A's only step overflows its weights after a finite loss and gradient: its norm ratio is inf
+    ({"task": "quadratic", "variant": "coupled_sgd", "eta": None, "T": "1", "alpha": "1e308"},
+     {"task": "quadratic", "T": "1", "rt": "const(1.0)"}, 2, "error: rt: value inf is not finite"),
+], ids=["A diverges", "B diverges", "both diverge", "A's norm reaches 0", "B stops early",
+        "A's last step overflows"])
+def test_compare_reports_errors_as_a_sequential_run_does(tmp_path, capfd, a_changes,
+                                                        b_changes, rc, line):
+    import multiprocessing
+
+    cfg_a, cfg_b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    cfg_a.write_text(_shipped("mlp_adamw.cfg", **a_changes))
+    cfg_b.write_text(_shipped("mlp_norm_control.cfg", **b_changes))
+    assert main(["compare", "--config-a", str(cfg_a), "--template-b", str(cfg_b),
+                 "--out-dir", str(tmp_path / "out")]) == rc
+    assert multiprocessing.active_children() == []
+    err = capfd.readouterr().err
+    assert err.splitlines()[-1] == line and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_reports_a_reference_process_that_dies(tmp_path, capfd, monkeypatch):
+    import multiprocessing
+
+    from normcontrol import harness
+
+    run_b = harness.run
+
+    def kill_reference_then_run(config):
+        for child in multiprocessing.active_children():
+            child.kill()
+        return run_b(config)
+
+    monkeypatch.setattr(harness, "run", kill_reference_then_run)
+    assert main(["compare", "--config-a", str(CONFIGS_DIR / "mlp_adamw.cfg"),
+                 "--template-b", str(CONFIGS_DIR / "mlp_norm_control.cfg"),
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == "numeric error: the reference run ended without a result\n"
+
+
+def test_an_interrupted_compare_stops_the_reference_process(monkeypatch, capfd):
+    import multiprocessing
+    import os
+
+    from normcontrol import harness
+
+    children = []
+
+    def interrupt(config):
+        config.schedules.rt_at(1)  # A has logged its first row
+        children.extend(multiprocessing.active_children())
+        for child in children:  # Ctrl-C signals the whole foreground process group
+            os.kill(child.pid, signal.SIGINT)
+            child.join(timeout=0.2)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run", interrupt)
+    # A long enough that the child still runs when the interrupt reaches the parent
+    config_a, template_b = (harness.parse_run_config(_shipped(name, T="30000"))
+                            for name in ("mlp_adamw.cfg", "mlp_norm_control.cfg"))
+    with pytest.raises(KeyboardInterrupt):
+        harness.compare(config_a, template_b)
+    assert multiprocessing.active_children() == []
+    assert [child.exitcode for child in children] == [-signal.SIGTERM]  # stopped, not awaited
+    assert capfd.readouterr().err == ""

@@ -214,14 +214,27 @@ class TestCompare:
         assert ([r.r_t for r in report.trace_b.rows]
                 == [r.norm_ratio for r in report.trace_a.rows])
 
+    @pytest.mark.parametrize("eval_every", [1, 7, 300])
+    def test_traces_equal_a_then_b_run_one_after_the_other(self, eval_every):
+        # B, run beside A, applies at every step the rt calibrated from A's whole trace.
+        a = make_config(task="mlp", variant=Variant.DECAY_COUPLED_LR, lam=0.1,
+                        T=300, eval_every=eval_every)
+        b = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=300, eval_every=eval_every)
+        report = compare(a, b)
+        trace_a = run(a)
+        trace_b = run(replace(b, schedules=replace(b.schedules,
+                                                   rt=calibrate_rt_from_run(trace_a))))
+        assert report.trace_a == trace_a and report.trace_b == trace_b
+
     def test_mismatched_template_rejected_before_the_reference_run(self, monkeypatch):
         calls = []
+        streamed_rt = harness._StreamedRt
 
-        def fake_run(config):
+        def recorded(config):
             calls.append(config)
-            return RunTrace([TraceRow(config.steps, *[1.0] * 7, 1.5, 1.0)], 1.0)
+            return streamed_rt(config)
 
-        monkeypatch.setattr(harness, "run", fake_run)
+        monkeypatch.setattr(harness, "_StreamedRt", recorded)
         a = make_config(task="mlp", variant=Variant.DECAY_COUPLED_LR, lam=0.1, T=300)
         b = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=300)
         sched = b.schedules
@@ -243,10 +256,13 @@ class TestCompare:
                 compare(a, template)
             assert calls == [], key
         # optimizer, rt and kt may differ; rt is replaced by A's trajectory
-        compare(a, replace(b, optimizer=OptimizerConfig(variant=Variant.NORM_CONTROL,
-                                                        alpha=0.002),
-                           schedules=replace(sched, kt=PiecewiseLinearSpec.const(0.05))))
-        assert calls[1].schedules.rt == PiecewiseLinearSpec.linear([(0, 1.0), (300, 1.5)])
+        report = compare(a, replace(
+            b, optimizer=OptimizerConfig(variant=Variant.NORM_CONTROL, alpha=0.002),
+            schedules=replace(sched, kt=PiecewiseLinearSpec.const(0.05))))
+        assert calls == [a]
+        assert [r.t for r in report.trace_b.rows] == [r.t for r in report.trace_a.rows]
+        assert ([r.r_t for r in report.trace_b.rows]
+                == [r.norm_ratio for r in report.trace_a.rows])
 
     def test_decay_equivalent_norm_control_gives_identical_losses(self):
         # with a flat eta schedule, k_t = eta * alpha0 * lam is a constant

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,30 @@ class TestPiecewiseLinear:
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             self.RAMP.value_at(-1)
+
+    @staticmethod
+    def scan_value_at(points, t):
+        """Reference: the segment found by a linear scan, the same formula."""
+        if t >= points[-1][0]:
+            return points[-1][1]
+        for (t0, v0), (t1, v1) in zip(points, points[1:]):
+            if t == t0:
+                return v0
+            if t0 < t < t1:
+                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        return points[0][1]
+
+    def test_bisection_equals_the_linear_scan_bit_for_bit(self):
+        rng = random.Random(11)
+        for n in (1, 2, 3, 61, 601, 3001, *(rng.randint(4, 300) for _ in range(6))):
+            ts = [0]
+            for _ in range(n - 1):
+                ts.append(ts[-1] + rng.randint(1, 3))
+            spec = PiecewiseLinearSpec.linear(
+                (t, rng.choice([0.0, -0.0, 1.0, rng.uniform(-1e3, 1e3)])) for t in ts)
+            spec.validate("rt")
+            for t in range(ts[-1] + 6):
+                assert spec.value_at(t).hex() == self.scan_value_at(spec.points, t).hex(), (n, t)
 
 
 class TestParse:
