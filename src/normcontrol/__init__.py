@@ -7,7 +7,6 @@ from .harness import (
     RunTrace,
     calibrate_rt_from_run,
     compare,
-    emit_schedule_table,
     parse_run_config,
     run,
 )
@@ -26,7 +25,6 @@ from .schedules import (
     PiecewiseLinearSpec,
     ScheduleSpec,
     TargetNormMode,
-    format_schedule_spec,
     parse_schedule_spec,
 )
 from .tasks import build_task, finite_diff_check
@@ -53,9 +51,7 @@ __all__ = [
     "build_task",
     "calibrate_rt_from_run",
     "compare",
-    "emit_schedule_table",
     "finite_diff_check",
-    "format_schedule_spec",
     "oracle_from_store",
     "oracle_step",
     "parse_run_config",

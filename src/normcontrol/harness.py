@@ -61,8 +61,11 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         # The rate peaks at eta_max; a rate above 1 would flip the weights' signs.
-        if self.optimizer.decay_rate(self.schedules.eta.eta_max) > 1.0:
-            raise ConfigError("weight_decay", f"{self.optimizer.weight_decay} gives a decay rate above 1")
+        rate = self.optimizer.decay_rate(self.schedules.eta.eta_max)
+        if rate > 1.0:
+            formula = {Variant.DECAY_COUPLED_LR: "eta_max * alpha * lambda",  # else coupled_sgd
+                       Variant.DECAY_DECOUPLED: "eta_max * lambda"}.get(self.optimizer.variant, "lambda")
+            raise ConfigError("weight_decay", f"decay rate {formula} = {rate:.6g} is above 1")
 
     @property
     def steps(self) -> int:
@@ -290,11 +293,11 @@ class ComparisonReport:
 
 
 def _experiment(config: RunConfig) -> dict:
-    """The config keys, by their text names, that fix what a run learns and logs."""
-    return {"task": config.task, "dim": config.dim, "hidden": config.hidden,
-            "batch_size": config.batch_size, "seed": config.seed,
-            "eval_every": config.eval_every, "control_biases": config.control_biases,
-            "T": config.schedules.horizon, "eta": config.schedules.eta}
+    """The config keys, by their text names, that fix what a run learns and logs:
+    every RunConfig key of RUN_KEYS, in its order, then T and eta."""
+    run_keys = {key: getattr(config, name)
+                for key, (owner, name, _) in RUN_KEYS.items() if owner is RunConfig}
+    return run_keys | {"T": config.schedules.horizon, "eta": config.schedules.eta}
 
 
 def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonReport:
@@ -351,18 +354,13 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
     )
 
 
-def emit_schedule_table(spec: ScheduleSpec, cfg: OptimizerConfig,
-                        stride: int) -> list[tuple[int, float, float, float]]:
-    """Tabulate (t, eta_t, r_t, k_t) at t = 0, stride, ..., horizon: the values a
+def schedule_table_csv(spec: ScheduleSpec, cfg: OptimizerConfig, stride: int) -> str:
+    """CSV of (t, eta_t, r_t, k_t) at t = 0, stride, ..., horizon: the values a
     step of cfg's variant applies (optim.applied_schedule), as a trace records them."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    steps = list(range(0, spec.horizon, stride)) + [spec.horizon]
-    return [(t, *optim.applied_schedule(spec, cfg, t)) for t in steps]
-
-
-def schedule_table_csv(spec: ScheduleSpec, cfg: OptimizerConfig, stride: int) -> str:
     lines = ["t,eta_t,r_t,k_t"]
-    for t, eta, r, k in emit_schedule_table(spec, cfg, stride):
+    for t in list(range(0, spec.horizon, stride)) + [spec.horizon]:
+        eta, r, k = optim.applied_schedule(spec, cfg, t)
         lines.append(f"{t},{_fmt(eta)},{_fmt(r)},{_fmt(k)}")
     return "\n".join(lines) + "\n"

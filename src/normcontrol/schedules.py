@@ -304,20 +304,3 @@ def parse_schedule_spec(text: str) -> ScheduleSpec:
     return parse_assignments(text, SCHEDULE_KEYS,
                              lambda fields: ScheduleSpec(**fields[ScheduleSpec]))[0]
 
-
-def _format_piecewise(spec: PiecewiseLinearSpec) -> str:
-    if len(spec.points) == 1:
-        return f"const({spec.points[0][1]!r})"
-    return "linear(" + ", ".join(f"{t}:{v!r}" for t, v in spec.points) + ")"
-
-
-def format_schedule_spec(spec: ScheduleSpec) -> str:
-    """Serialize so that re-parsing yields an equal spec."""
-    lines = [
-        f"T = {spec.horizon}",
-        f"eta = cosine({spec.eta.eta_max!r}, {spec.eta.eta_min!r}, warmup={spec.eta.warmup_steps})",
-        f"rt = {_format_piecewise(spec.rt)}",
-        f"kt = {_format_piecewise(spec.kt)}",
-        f"target_mode = {spec.target_mode.value}",
-    ]
-    return "\n".join(lines) + "\n"

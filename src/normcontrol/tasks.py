@@ -217,7 +217,7 @@ def finite_diff_check(task, theta: np.ndarray, batch, h: float = 1e-5,
         coords = rng.choice(dim, size=max_coords, replace=False)
     else:
         coords = np.arange(dim)
-    worst = 0.0
+    errors = []
     probe = theta.astype(float).copy()
     for i in coords:
         orig = probe[i]
@@ -227,6 +227,5 @@ def finite_diff_check(task, theta: np.ndarray, batch, h: float = 1e-5,
         lm, _ = task.loss_and_grad(probe, batch)
         probe[i] = orig
         fd = (lp - lm) / (2.0 * h)
-        err = abs(fd - grad[i]) / max(1.0, abs(grad[i]), abs(fd))
-        worst = max(worst, err)
-    return worst
+        errors.append(abs(fd - grad[i]) / max(1.0, abs(grad[i]), abs(fd)))
+    return float(np.max(errors, initial=0.0))  # NaN if any coordinate's error is NaN

@@ -120,29 +120,22 @@ def oracle_step(
         v_hat = oracle.v[i] / bc2
         oracle.theta[i] = oracle.theta[i] - eta_t * cfg.alpha * m_hat / (math.sqrt(v_hat) + cfg.epsilon)
 
+    shrink = None  # None: the controlled elements stay as they are
     if cfg.variant is Variant.DECAY_COUPLED_LR:
-        rate = eta_t * cfg.alpha * cfg.weight_decay
-        for i in range(n):
-            if oracle.controlled[i]:
-                oracle.theta[i] = oracle.theta[i] - rate * oracle.theta[i]
+        shrink = eta_t * cfg.alpha * cfg.weight_decay
     elif cfg.variant is Variant.DECAY_DECOUPLED:
-        rate = eta_t * cfg.weight_decay
+        shrink = eta_t * cfg.weight_decay
+    elif cfg.variant is Variant.NORM_CONTROL and r_t == 0.0:
+        shrink = k_t
+    elif cfg.variant is Variant.NORM_CONTROL:
+        norm = oracle_controlled_norm(oracle.theta, oracle.controlled)
+        if norm >= optim.ZERO_NORM_EPS:
+            target = r_t * oracle.initial_norm if mode is TargetNormMode.RELATIVE else r_t
+            shrink = k_t * (1.0 - target / norm)
+    if shrink is not None:
         for i in range(n):
             if oracle.controlled[i]:
-                oracle.theta[i] = oracle.theta[i] - rate * oracle.theta[i]
-    elif cfg.variant is Variant.NORM_CONTROL:
-        if r_t == 0.0:
-            for i in range(n):
-                if oracle.controlled[i]:
-                    oracle.theta[i] = oracle.theta[i] - k_t * oracle.theta[i]
-        else:
-            norm = oracle_controlled_norm(oracle.theta, oracle.controlled)
-            if norm >= optim.ZERO_NORM_EPS:
-                target = r_t * oracle.initial_norm if mode is TargetNormMode.RELATIVE else r_t
-                shrink = k_t * (1.0 - target / norm)
-                for i in range(n):
-                    if oracle.controlled[i]:
-                        oracle.theta[i] = oracle.theta[i] - shrink * oracle.theta[i]
+                oracle.theta[i] = oracle.theta[i] - shrink * oracle.theta[i]
     return oracle
 
 

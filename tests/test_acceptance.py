@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normcontrol.harness import RunConfig, compare, emit_schedule_table, parse_run_config, run
+from normcontrol.harness import RunConfig, compare, parse_run_config, run, schedule_table_csv
 from normcontrol.optim import (
     OptimizerConfig,
     OptimizerState,
@@ -202,8 +202,9 @@ def test_criterion_6_schedule_endpoints():
         for T in (100, 1000, 50_000)
     )
     spec = ScheduleSpec(horizon=5000, rt=PiecewiseLinearSpec.linear([(0, 1.0), (2500, 2.415)]))
-    table = {t: r for t, _, r, _ in emit_schedule_table(
-        spec, OptimizerConfig(variant=Variant.NORM_CONTROL), 500)}
+    csv_text = schedule_table_csv(spec, OptimizerConfig(variant=Variant.NORM_CONTROL), 500)
+    rows = [line.split(",") for line in csv_text.splitlines()[1:]]  # %.17g reads back exactly
+    table = {int(t): float(r) for t, _, r, _ in rows}
     rt_ok = table[0] == 1.0 and table[2500] == 2.415
     _report(6, eta_ok and rt_ok,
             "eta(0)=1.0 and eta(T)=0.1 exactly; rt table hits (0,1.0) and (2500,2.415) exactly",

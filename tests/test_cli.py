@@ -1,10 +1,12 @@
 import errno
 import json
+import math
 import signal
 from pathlib import Path
 
 import pytest
 
+from normcontrol import tasks
 from normcontrol.cli import main
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -101,6 +103,41 @@ def test_check_grad_with_properties(capsys):
     assert main(["check-grad", "--task", "quadratic", "--seed", "0",
                  "--properties", "5"]) == 0
     assert "convex-combination" in capsys.readouterr().out
+
+
+def test_check_grad_fails_a_gradient_with_a_nan_coordinate(capsys, monkeypatch):
+    build = tasks.build_task
+
+    def nan_gradient(*args, **kwargs):
+        task = build(*args, **kwargs)
+        loss_and_grad = task.loss_and_grad
+
+        def poisoned(theta, batch):
+            loss, g = loss_and_grad(theta, batch)
+            g[1] = math.nan
+            return loss, g
+
+        task.loss_and_grad = poisoned
+        return task
+
+    monkeypatch.setattr(tasks, "build_task", nan_gradient)
+    assert main(["check-grad", "--task", "quadratic"]) == 3
+    assert capsys.readouterr().out.startswith("FAIL quadratic: max relative gradient error nan")
+
+
+@pytest.mark.parametrize("variant, lam, extra, rate", [
+    ("decay_coupled_lr", "0.1", "alpha = 1e300\n", "eta_max * alpha * lambda = 1e+299"),
+    ("decay_decoupled", "1.5", "", "eta_max * lambda = 1.5"),
+    ("coupled_sgd", "1.5", "", "lambda = 1.5"),
+])
+def test_decay_rate_error_names_the_rate_and_its_formula(variant, lam, extra, rate,
+                                                         tmp_path, capsys):
+    text = (CONFIGS_DIR / "mlp_adamw.cfg").read_text() + extra
+    text = text.replace("variant = decay_coupled_lr", f"variant = {variant}")
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(text.replace("lambda = 0.1", f"lambda = {lam}"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: line 9: lambda: decay rate {rate} is above 1\n"
 
 
 @pytest.mark.parametrize("args", [["--dim", "0"], ["--hidden", "0"], ["--properties", "-3"]])

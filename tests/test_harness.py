@@ -12,7 +12,6 @@ from normcontrol.harness import (
     TraceRow,
     calibrate_rt_from_run,
     compare,
-    emit_schedule_table,
     parse_run_config,
     run,
     schedule_table_csv,
@@ -282,21 +281,27 @@ class TestCompare:
             assert abs(ra.train_loss - rb.train_loss) <= 1e-10 * max(1.0, abs(ra.train_loss))
 
 
+def schedule_table(spec, cfg, stride):
+    """schedule_table_csv's rows as (t, eta_t, r_t, k_t); its %.17g text reads back exactly."""
+    rows = [line.split(",") for line in schedule_table_csv(spec, cfg, stride).splitlines()[1:]]
+    return [(int(t), float(eta), float(r), float(k)) for t, eta, r, k in rows]
+
+
 class TestScheduleTable:
     NC = OptimizerConfig(variant=Variant.NORM_CONTROL)
 
     def test_breakpoints_reproduced_exactly(self):
         spec = ScheduleSpec(horizon=1000, rt=PiecewiseLinearSpec.linear([(0, 1.0), (500, 2.0)]))
-        rows = {t: r for t, _, r, _ in emit_schedule_table(spec, self.NC, 100)}
+        rows = {t: r for t, _, r, _ in schedule_table(spec, self.NC, 100)}
         assert rows[0] == 1.0 and rows[500] == 2.0 and rows[1000] == 2.0
 
     def test_rt_zero_gives_all_zero_column(self):
         spec = ScheduleSpec(horizon=100, rt=PiecewiseLinearSpec.const(0.0))
-        assert all(r == 0.0 for _, _, r, _ in emit_schedule_table(spec, self.NC, 10))
+        assert all(r == 0.0 for _, _, r, _ in schedule_table(spec, self.NC, 10))
 
     def test_stride_equal_horizon_gives_two_rows(self):
         spec = ScheduleSpec(horizon=100)
-        table = emit_schedule_table(spec, self.NC, 100)
+        table = schedule_table(spec, self.NC, 100)
         assert [t for t, *_ in table] == [0, 100]
 
     def test_csv_header(self):

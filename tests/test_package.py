@@ -1,9 +1,12 @@
+import importlib.util
 import re
 from pathlib import Path
 
 import normcontrol
+import normcontrol.cli  # not imported by the package; the tracer wraps cli.main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -21,3 +24,13 @@ def test_readme_python_blocks_run_in_order():
     assert namespace["report"].t == 1000
     assert namespace["tied"].kt_at(1) == namespace["decay_cfg"].decay_rate(
         namespace["sched"].eta_at(1))
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # the benchmark's tracer wraps these by name; deleting one would break the benchmark
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.traced_targets(normcontrol)
+    assert targets
+    assert [(owner, attr) for owner, attr, _ in targets if not hasattr(owner, attr)] == []

@@ -12,7 +12,6 @@ from normcontrol.schedules import (
     ScheduleSpec,
     TargetNormMode,
     cosine_value,
-    format_schedule_spec,
     parse_schedule_spec,
 )
 
@@ -162,12 +161,50 @@ class TestParse:
         assert str(parsed.value) == "line 3: T: must be a positive integer, got 0"
 
 
+@st.composite
+def schedule_texts(draw):
+    """(config text written from the drawn values, the ScheduleSpec they describe)."""
+    horizon = draw(st.integers(10, 100_000))
+    warmup = draw(st.integers(0, min(5, horizon - 2)))
+    eta_min = draw(st.floats(1e-6, 0.5))
+    eta_max = draw(st.floats(eta_min, 1.0))
+    warmup_arg = f", warmup={warmup}" if warmup or draw(st.booleans()) else ""
+    lines = [f"T = {horizon}", f"eta = cosine({eta_max!r}, {eta_min!r}{warmup_arg})"]
+    fields = {"horizon": horizon, "eta": CosineSpec(eta_max, eta_min, warmup)}
+    for key, hi in (("rt", 3.0), ("kt", 1.0)):
+        n_pts = draw(st.integers(0, 3))
+        ts = [0] + sorted(draw(st.sets(st.integers(1, horizon), min_size=n_pts, max_size=n_pts)))
+        vals = draw(st.lists(st.floats(0.0, hi), min_size=n_pts + 1, max_size=n_pts + 1))
+        if n_pts == 0:
+            lines.append(f"{key} = const({vals[0]!r})")
+        else:
+            lines.append(f"{key} = linear(" + ", ".join(f"{t}:{v!r}" for t, v in zip(ts, vals)) + ")")
+        fields[key] = PiecewiseLinearSpec.linear(zip(ts, vals))
+    mode = draw(st.sampled_from(list(TargetNormMode)))
+    lines.append(f"target_mode = {mode.value}")
+    return "\n".join(lines) + "\n", ScheduleSpec(**fields, target_mode=mode)
+
+
 def test_roundtrip_example():
     spec = parse_schedule_spec(
         "T = 5000\neta = cosine(1.0, 0.1)\nrt = linear(0:1.0, 2500:2.415)\n"
         "kt = const(0.01)\ntarget_mode = relative\n"
     )
-    assert parse_schedule_spec(format_schedule_spec(spec)) == spec
+    assert spec == ScheduleSpec(
+        5000,
+        CosineSpec(1.0, 0.1, 0),
+        PiecewiseLinearSpec.linear([(0, 1.0), (2500, 2.415)]),
+        PiecewiseLinearSpec.linear([(0, 0.01)]),
+        TargetNormMode.RELATIVE,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule_texts())
+def test_roundtrip_property(text_and_spec):
+    """Values -> config text -> parse_schedule_spec gives back the same spec."""
+    text, spec = text_and_spec
+    assert parse_schedule_spec(text) == spec
 
 
 @st.composite
@@ -184,13 +221,6 @@ def schedule_specs(draw):
     kt = PiecewiseLinearSpec.const(draw(st.floats(0.0, 1.0, allow_nan=False)))
     mode = draw(st.sampled_from(list(TargetNormMode)))
     return ScheduleSpec(horizon, CosineSpec(eta_max, eta_min, warmup), rt, kt, mode)
-
-
-@settings(max_examples=200, deadline=None)
-@given(schedule_specs())
-def test_roundtrip_property(spec):
-    spec.validate()
-    assert parse_schedule_spec(format_schedule_spec(spec)) == spec
 
 
 @settings(max_examples=100, deadline=None)

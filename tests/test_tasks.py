@@ -144,6 +144,19 @@ class TestFiniteDiff:
                                 rng=np.random.default_rng(1))
         assert err <= 1e-9
 
+    def test_a_nan_gradient_coordinate_gives_a_nan_error(self):
+        rng = np.random.default_rng(9)
+        task = QuadraticTask(3, rng)
+        loss_and_grad = task.loss_and_grad
+
+        def nan_at_1(theta, batch):
+            loss, g = loss_and_grad(theta, batch)
+            g[1] = math.nan
+            return loss, g
+
+        task.loss_and_grad = nan_at_1
+        assert math.isnan(finite_diff_check(task, task.init_theta(rng), task.sample_batch(rng, 4)))
+
     def test_invalid_h(self):
         rng = np.random.default_rng(9)
         task = QuadraticTask(3, rng)
