@@ -31,33 +31,3 @@ from .tasks import build_task, finite_diff_check
 from .verify import OracleState, oracle_from_store, oracle_step, property_suite
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ComparisonReport",
-    "CosineSpec",
-    "EtaTiedKt",
-    "OptimizerConfig",
-    "OptimizerState",
-    "OracleState",
-    "ParamGroup",
-    "ParamStore",
-    "PiecewiseLinearSpec",
-    "RunConfig",
-    "RunTrace",
-    "ScheduleSpec",
-    "StepReport",
-    "TargetNormMode",
-    "Variant",
-    "build_task",
-    "calibrate_rt_from_run",
-    "compare",
-    "finite_diff_check",
-    "oracle_from_store",
-    "oracle_step",
-    "parse_run_config",
-    "parse_schedule_spec",
-    "property_suite",
-    "regularize_norm_control",
-    "run",
-    "step",
-]

@@ -67,11 +67,6 @@ class RunConfig:
                        Variant.DECAY_DECOUPLED: "eta_max * lambda"}.get(self.optimizer.variant, "lambda")
             raise ConfigError("weight_decay", f"decay rate {formula} = {rate:.6g} is above 1")
 
-    @property
-    def steps(self) -> int:
-        # Single source of truth: the run length is the schedule horizon.
-        return self.schedules.horizon
-
 
 @dataclass
 class TraceRow:
@@ -96,20 +91,18 @@ class RunTrace:
     initial_norm: float
 
     def to_csv(self) -> str:
-        lines = [TRACE_HEADER]
-        names = TRACE_HEADER.split(",")[1:]
-        for r in self.rows:
-            lines.append(f"{r.t}," + ",".join(_fmt(getattr(r, n)) for n in names))
-        return "\n".join(lines) + "\n"
+        return _csv(TRACE_HEADER, (vars(r).values() for r in self.rows))
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(self.to_csv())
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: text round-trips to the exact double.
-    return format(x, ".17g")
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: its integer t, then each float
+    with 17 significant digits, so the text round-trips to the exact double."""
+    lines = [header] + [f"{t}," + ",".join(format(x, ".17g") for x in xs) for t, *xs in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_bool(value: str) -> bool:
@@ -192,7 +185,7 @@ def _logged_rows(config: RunConfig, task, store: ParamStore, rng):
     """
     state = OptimizerState.zeros(store.theta.size)
     sched = config.schedules
-    for t in range(1, config.steps + 1):
+    for t in range(1, sched.horizon + 1):
         try:
             batch = task.sample_batch(rng, config.batch_size)
             train_loss, g = task.loss_and_grad(store.theta, batch)
@@ -203,7 +196,7 @@ def _logged_rows(config: RunConfig, task, store: ParamStore, rng):
             report = optim.step(store, state, g, t, sched, config.optimizer)
         except Exception as e:
             raise RuntimeError(f"run aborted at step {t}: {e}") from e
-        if t % config.eval_every == 0 or t == config.steps:
+        if t % config.eval_every == 0 or t == sched.horizon:
             val_loss, _ = task.loss_and_grad(store.theta, task.val_batch())
             norm = store.controlled_norm()
             yield TraceRow(
@@ -359,8 +352,5 @@ def schedule_table_csv(spec: ScheduleSpec, cfg: OptimizerConfig, stride: int) ->
     step of cfg's variant applies (optim.applied_schedule), as a trace records them."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    lines = ["t,eta_t,r_t,k_t"]
-    for t in list(range(0, spec.horizon, stride)) + [spec.horizon]:
-        eta, r, k = optim.applied_schedule(spec, cfg, t)
-        lines.append(f"{t},{_fmt(eta)},{_fmt(r)},{_fmt(k)}")
-    return "\n".join(lines) + "\n"
+    steps = list(range(0, spec.horizon, stride)) + [spec.horizon]
+    return _csv("t,eta_t,r_t,k_t", ((t, *optim.applied_schedule(spec, cfg, t)) for t in steps))

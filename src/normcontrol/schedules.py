@@ -140,9 +140,6 @@ class ScheduleSpec:
     target_mode: TargetNormMode = TargetNormMode.RELATIVE
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.horizon <= 0:
             raise ConfigError("horizon", f"must be a positive integer, got {self.horizon}")
         self.eta.validate("eta")
@@ -189,6 +186,7 @@ class EtaTiedKt:
 
 _ASSIGN_RE = re.compile(r"^(\w+)\s*=\s*(.+)$")
 _CALL_RE = re.compile(r"^(\w+)\s*\((.*)\)$")
+_WARMUP_RE = re.compile(r"^warmup\s*=\s*(\d+)$")
 
 
 def parse_choice(enum_type):
@@ -201,49 +199,37 @@ def parse_choice(enum_type):
     return parse
 
 
-def _parse_piecewise(value: str) -> PiecewiseLinearSpec:
+def _call_args(value: str) -> tuple[str | None, list[str]]:
+    """The kind and the stripped arguments of the text ``kind(a, b, ...)``;
+    the kind is None for any other text."""
     m = _CALL_RE.match(value)
     if m is None:
-        raise ValueError(f"expected const(...) or linear(...), got {value!r}")
-    func, args = m.groups()
-    if func == "const":
-        try:
-            return PiecewiseLinearSpec.const(float(args))
-        except ValueError:
-            raise ValueError(f"const() needs one number, got {args!r}") from None
-    if func == "linear":
-        points = []
-        for part in args.split(","):
-            ts, sep, vs = part.partition(":")
-            if not sep:
-                raise ValueError(f"linear() entries look like t:value, got {part.strip()!r}")
-            try:
-                points.append((int(ts), float(vs)))
-            except ValueError:
-                raise ValueError(f"bad breakpoint {part.strip()!r}") from None
-        return PiecewiseLinearSpec.linear(points)
-    raise ValueError(f"unknown schedule kind {func!r}")
+        return None, []
+    return m.group(1), [arg.strip() for arg in m.group(2).split(",")]
+
+
+def _parse_piecewise(value: str) -> PiecewiseLinearSpec:
+    kind, args = _call_args(value)
+    try:
+        if kind == "const" and len(args) == 1:
+            return PiecewiseLinearSpec.const(float(args[0]))
+        if kind == "linear":
+            return PiecewiseLinearSpec.linear(arg.split(":") for arg in args)
+    except ValueError:  # a number that does not parse, or an entry that is no t:v pair
+        pass
+    raise ValueError(f"expected const(v) or linear(t:v, ...), got {value!r}")
 
 
 def _parse_cosine(value: str) -> CosineSpec:
-    m = _CALL_RE.match(value)
-    if m is None or m.group(1) != "cosine":
-        raise ValueError(f"expected cosine(max, min[, warmup=n]), got {value!r}")
-    args = [a.strip() for a in m.group(2).split(",") if a.strip()]
-    if len(args) < 2:
-        raise ValueError("cosine() needs eta_max and eta_min")
-    warmup = 0
-    if len(args) == 3:
-        wm = re.match(r"^warmup\s*=\s*(\d+)$", args[2])
-        if wm is None:
-            raise ValueError(f"third argument must be warmup=<int>, got {args[2]!r}")
-        warmup = int(wm.group(1))
-    elif len(args) > 3:
-        raise ValueError("too many arguments to cosine()")
+    kind, args = _call_args(value)
     try:
-        return CosineSpec(float(args[0]), float(args[1]), warmup)
-    except ValueError:
-        raise ValueError(f"non-numeric cosine() arguments {value!r}") from None
+        if kind == "cosine" and len(args) == 2:
+            return CosineSpec(float(args[0]), float(args[1]))
+        if kind == "cosine" and len(args) == 3 and (warmup := _WARMUP_RE.match(args[2])):
+            return CosineSpec(float(args[0]), float(args[1]), int(warmup.group(1)))
+    except ValueError:  # a number that does not parse
+        pass
+    raise ValueError(f"expected cosine(max, min[, warmup=n]), got {value!r}")
 
 
 # Schedule text key -> (dataclass, field, value parser). Defaults and range

@@ -89,7 +89,6 @@ class QuadraticTask:
     """Noisy diagonal quadratic: batches perturb the linear term."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
-        self.name = "quadratic"
         self.dim = dim
         self.groups = [ParamGroup("weights", 0, dim, controlled=True)]
         self.a_diag = rng.uniform(0.5, 2.0, dim)
@@ -129,7 +128,6 @@ class LogisticTask(_PooledTask):
     """Binary logistic regression on Gaussian features, labels from a teacher."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
-        self.name = "logistic"
         self.dim = dim
         self.groups = [ParamGroup("weights", 0, dim, controlled=True)]
         teacher = rng.normal(size=dim)
@@ -155,11 +153,9 @@ class MlpTask(_PooledTask):
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator,
                  control_biases: bool = False):
-        self.name = "mlp"
         self.in_dim = in_dim
         self.hidden = hidden
         n_w1 = hidden * in_dim
-        self.dim = n_w1 + hidden + hidden + 1
         self.groups = [
             ParamGroup("w1", 0, n_w1, controlled=True),
             ParamGroup("b1", n_w1, hidden, controlled=control_biases),
@@ -203,13 +199,16 @@ def finite_diff_check(task, theta: np.ndarray, batch, h: float = 1e-5,
                       max_coords: int = 200, rng: np.random.Generator | None = None) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
-    For dim > max_coords a seeded random coordinate subset is checked.
+    For dim > max_coords a seeded random coordinate subset is checked; a
+    non-finite analytic entry gives NaN, whether or not it is sampled.
     Relative error per coordinate uses max(1, |analytic|, |numeric|) as the
     denominator so tiny gradient entries are judged on absolute error.
     """
     if h <= 0.0:
         raise ValueError("finite-difference step h must be > 0")
     _, grad = task.loss_and_grad(theta, batch)
+    if not np.isfinite(grad).all():
+        return math.nan  # a non-finite entry fails the check, sampled or not
     dim = theta.shape[0]
     if dim > max_coords:
         if rng is None:

@@ -167,13 +167,31 @@ def test_validation_error_exit_code(tmp_path, capsys):
                  "epsilon = inf", "lambda = nan", "lambda = inf", "rt = const(nan)",
                  "rt = const(inf)", "rt = linear(0:1.0, 5:nan)", "kt = const(nan)",
                  "seed = 1\nseed = 2", "variant = none", "lambda = -1", "beta1 = 1.0",
-                 "dim = 0", "seed = -1", "eta = cosine(2.0, 0.1)", "rt = linear(0:1.0, 50:2.0)"]:
+                 "dim = 0", "seed = -1", "eta = cosine(2.0, 0.1)", "rt = linear(0:1.0, 50:2.0)",
+                 "rt = linear(5:1.0)", "eta = cosine(0.1, 0.5)"]:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"task = mlp\nT = 10\nvariant = norm_control\n{line}\n")
         capsys.readouterr()
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, line
         lineno, key = 4 + line.count("\n"), line.split()[0]
         assert capsys.readouterr().err.startswith(f"error: line {lineno}: {key}: "), line
+    # a schedule value the grammar rejects, with the form it expects
+    cosine, piecewise = "cosine(max, min[, warmup=n])", "const(v) or linear(t:v, ...)"
+    for key, value, form in [("eta", "cosine(1.0)", cosine), ("eta", "cosine(1.0, 0.1, 5)", cosine),
+                             ("eta", "cosine(a, b)", cosine), ("eta", "cos(1.0, 0.1)", cosine),
+                             ("eta", "cosine(, 1.0, 0.1)", cosine), ("rt", "const()", piecewise),
+                             ("rt", "linear(0:1.0, 5)", piecewise),
+                             ("rt", "linear(0:1.0, 5:x)", piecewise), ("rt", "lin(0:1)", piecewise)]:
+        cfg.write_text(f"task = mlp\nT = 10\nvariant = norm_control\n{key} = {value}\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2, value
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: line 4: {key}: expected {form}, got {value!r}"), value
+    # the warmup must end before the horizon; T is blamed, on its own line
+    cfg.write_text("task = mlp\nT = 10\nvariant = norm_control\neta = cosine(1.0, 0.1, warmup=10)\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: T: ")
     # a decay rate above 1 at eta_max would flip the sign of the weights
     for variant in ("decay_decoupled", "coupled_sgd"):
         cfg.write_text(f"task = mlp\nT = 10\nvariant = {variant}\nlambda = 1.5\n")

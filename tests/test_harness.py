@@ -339,7 +339,7 @@ class TestParseRunConfig:
         assert cfg.optimizer.variant is Variant.NORM_CONTROL
         assert cfg.optimizer.weight_decay == 0.05
         assert cfg.control_biases is True
-        assert cfg.steps == 100 == cfg.schedules.horizon
+        assert cfg.schedules.horizon == 100
 
     def test_defaults(self):
         cfg = parse_run_config("task = quadratic\nT = 10\n")

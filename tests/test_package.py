@@ -9,11 +9,6 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in normcontrol.__all__ if not hasattr(normcontrol, name)]
-    assert missing == []
-
-
 def test_readme_python_blocks_run_in_order():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
     assert len(blocks) == 2

@@ -157,6 +157,22 @@ class TestFiniteDiff:
         task.loss_and_grad = nan_at_1
         assert math.isnan(finite_diff_check(task, task.init_theta(rng), task.sample_batch(rng, 4)))
 
+    def test_a_nan_at_an_unsampled_coordinate_gives_a_nan_error(self):
+        rng = np.random.default_rng(8)
+        task = QuadraticTask(500, rng)
+        loss_and_grad = task.loss_and_grad
+
+        def nan_at_0(theta, batch):
+            loss, g = loss_and_grad(theta, batch)
+            g[0] = math.nan
+            return loss, g
+
+        task.loss_and_grad = nan_at_0
+        # the 200 coordinates rng seed 1 samples leave out coordinate 0
+        err = finite_diff_check(task, task.init_theta(rng), task.sample_batch(rng, 4),
+                                rng=np.random.default_rng(1))
+        assert math.isnan(err)
+
     def test_invalid_h(self):
         rng = np.random.default_rng(9)
         task = QuadraticTask(3, rng)
@@ -166,9 +182,9 @@ class TestFiniteDiff:
 
 def test_build_task_names():
     rng = np.random.default_rng(0)
-    assert build_task("quadratic", 4, 8, rng).name == "quadratic"
-    assert build_task("logistic", 4, 8, rng).name == "logistic"
-    assert build_task("mlp", 4, 8, rng).name == "mlp"
+    assert isinstance(build_task("quadratic", 4, 8, rng), QuadraticTask)
+    assert isinstance(build_task("logistic", 4, 8, rng), LogisticTask)
+    assert isinstance(build_task("mlp", 4, 8, rng), MlpTask)
     with pytest.raises(ValueError, match="unknown task"):
         build_task("transformer", 4, 8, rng)
 

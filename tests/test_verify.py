@@ -172,7 +172,7 @@ def test_harness_run_agrees_with_the_oracle_at_every_step(config):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optim, "step", checked_step)
         harness.run(config)
-    assert steps == list(range(1, config.steps + 1))
+    assert steps == list(range(1, config.schedules.horizon + 1))
 
 
 class TestPropertySuite:
