@@ -21,7 +21,7 @@ VAL_POOL = 256
 
 def quadratic_loss_grad(theta: np.ndarray, a_diag: np.ndarray, b: np.ndarray):
     """loss = 0.5 * theta' diag(a) theta - b' theta; grad = a*theta - b."""
-    if np.any(a_diag <= 0.0):
+    if not (a_diag > 0.0).all():  # NaN fails too
         raise ValueError("quadratic diagonal must be strictly positive")
     if theta.shape != a_diag.shape or theta.shape != b.shape:
         raise ValueError("theta, a_diag and b must have matching shapes")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,6 +180,13 @@ class TestNormControl:
         store = one_group_store([1.0])
         with pytest.raises(ValueError, match="k_t"):
             regularize_norm_control(store, 1.0, 1.5)
+
+    def test_negative_or_nan_r_rejected(self):
+        for r in (-1.0, math.nan):
+            store = one_group_store([3.0, 4.0])
+            with pytest.raises(ValueError, match="r_t"):
+                regularize_norm_control(store, r, 0.5)
+            assert list(store.theta) == [3.0, 4.0]
 
     def test_uncontrolled_untouched(self):
         store = mixed_store([3.0, 4.0], [7.0])
@@ -511,3 +519,91 @@ def test_state_equality_is_identity():
     state = OptimizerState.zeros(3)
     assert state == state
     assert state != OptimizerState.zeros(3)
+
+
+def test_state_rejects_moments_of_different_shapes():
+    with pytest.raises(ValueError, match="moment shapes differ"):
+        OptimizerState(t=0, m=np.zeros(4), v=np.zeros(3))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_rejected_step_changes_nothing(variant):
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(1.5))
+    rng = np.random.default_rng(9)
+    store = mixed_store(rng.normal(size=4), rng.normal(size=2))
+    state = OptimizerState.zeros(6)
+    good = OptimizerConfig(weight_decay=0.1, variant=variant)
+    step(store, state, rng.normal(size=6), 1, sched, good)
+    before = store.theta.copy(), state.m.copy(), state.v.copy()
+    rejected = [(rng.normal(size=5), sched, good, "gradient shape"),
+                (rng.normal(size=(6, 1)), sched, good, "gradient shape")]
+    if variant is Variant.NORM_CONTROL:
+        # A schedule spec rejects these values, so a stand-in serves them.
+        for r, k, message in ((1.5, 1.5, "k_t"), (-1.0, 0.5, "r_t"), (math.nan, 0.5, "r_t")):
+            bad = SimpleNamespace(eta_at=sched.eta_at, rt_at=lambda t, r=r: r,
+                                  kt_at=lambda t, k=k: k, target_mode=sched.target_mode)
+            rejected.append((rng.normal(size=6), bad, good, message))
+    elif variant is not Variant.NONE:
+        # A decay rate above one is a k_t above one.
+        rejected.append((rng.normal(size=6), sched,
+                         OptimizerConfig(weight_decay=1.5, alpha=1.0, variant=variant), "k_t"))
+    for g, bad_sched, cfg, message in rejected:
+        with pytest.raises(ValueError, match=message):
+            step(store, state, g, 2, bad_sched, cfg)
+        assert state.t == 1
+        for got, want in zip((store.theta, state.m, state.v), before):
+            assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="parameter shape"):  # a store that is not the state's
+        step(one_group_store(np.ones(5)), state, rng.normal(size=6), 2, sched, good)
+    assert state.t == 1
+    assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
+
+
+def _chunked_store(rng):
+    # Controlled/uncontrolled boundaries that fall inside parts, not on their edges.
+    n = 2 * optim._CHUNK + 7
+    cuts = [0, 1000, optim._CHUNK - 3, optim._CHUNK + 11, 2 * optim._CHUNK + 2, n]
+    groups = [ParamGroup(f"g{i}", a, b - a, i % 2 == 0)
+              for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    return ParamStore(rng.normal(size=n), groups)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_chunked_step_is_the_whole_vector_sequence(variant):
+    rng = np.random.default_rng(21)
+    store = _chunked_store(rng)
+    n = store.theta.size
+    assert n > 2 * optim._CHUNK
+    ref = store.snapshot()
+    state, ref_state = OptimizerState.zeros(n), OptimizerState.zeros(n)
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(1.5),
+                         kt=PiecewiseLinearSpec.const(0.3))
+    cfg = OptimizerConfig(beta1=0.8, weight_decay=0.1, variant=variant)
+    for t in (1, 2, 3):
+        g = rng.normal(size=n)
+        step(store, state, g, t, sched, cfg)
+        ref_state.t = t
+        eta_t, r_t, k_t = optim.applied_schedule(sched, cfg, t)
+        if variant is Variant.COUPLED_SGD:
+            sgd_step_coupled_decay(ref, g, cfg.alpha, k_t)
+        else:
+            adam_param_update(ref, *adam_moment_update(ref_state, g, cfg), eta_t, cfg)
+            if variant is not Variant.NONE:
+                regularize_norm_control(ref, r_t, k_t, sched.target_mode)
+        for got, want in zip((store.theta, state.m, state.v),
+                             (ref.theta, ref_state.m, ref_state.v)):
+            assert np.array_equal(got, want), (variant, t)
+
+
+@pytest.mark.parametrize("n", [5, 2 * optim._CHUNK + 7])
+def test_step_reaches_the_adam_phases_through_the_module(n, monkeypatch):
+    calls = []
+    for name in ("adam_moment_update", "adam_param_update"):
+        phase = getattr(optim, name)
+        monkeypatch.setattr(optim, name, lambda *args, _name=name, _phase=phase:
+                            calls.append(_name) or _phase(*args))
+    store = one_group_store(np.linspace(-1.0, 1.0, n))
+    step(store, OptimizerState.zeros(n), np.ones(n), 1, ScheduleSpec(horizon=10),
+         OptimizerConfig())
+    parts = -(-n // optim._CHUNK)
+    assert calls == ["adam_moment_update", "adam_param_update"] * parts

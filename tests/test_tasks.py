@@ -53,6 +53,11 @@ class TestQuadratic:
             with pytest.raises(ValueError, match="matching shapes"):
                 quadratic_loss_grad(np.ones(theta), np.ones(a), np.ones(b))
 
+    def test_nan_diagonal_rejected(self):
+        for a in ([np.nan], [1.0, np.nan, 2.0]):
+            with pytest.raises(ValueError, match="positive"):
+                quadratic_loss_grad(np.ones(len(a)), np.array(a), np.ones(len(a)))
+
 
 class TestLogistic:
     def test_zero_theta_gives_ln2(self):
