@@ -185,9 +185,10 @@ def _logged_rows(config: RunConfig, task, store: ParamStore, rng):
     """
     state = OptimizerState.zeros(store.theta.size)
     sched = config.schedules
+    batches = task.batches(rng, config.batch_size, sched.horizon)
     for t in range(1, sched.horizon + 1):
         try:
-            batch = task.sample_batch(rng, config.batch_size)
+            batch = next(batches)
             train_loss, g = task.loss_and_grad(store.theta, batch)
             if not math.isfinite(train_loss):
                 raise FloatingPointError(f"non-finite training loss {train_loss}")

@@ -69,6 +69,8 @@ class OptimizerConfig:
                 raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")
         if self.weight_decay < 0.0:
             raise ConfigError("weight_decay", f"must be >= 0, got {self.weight_decay}")
+        if not isinstance(self.variant, Variant):
+            raise ConfigError("variant", f"must be a Variant, got {self.variant!r}")
 
     def decay_rate(self, eta_t: float) -> float:
         """k_t of this variant as norm control at r_t = 0, at multiplier eta_t.

@@ -69,7 +69,8 @@ class ParamStore:
 
         Always equal, bit for bit, to ``ldexp(sqrt(math.fsum(y * y)), exp)``
         with ``y = x / 2**exp`` over the concatenated controlled elements
-        ``x``, where ``2**exp`` is the power of two just above ``max|x|``.
+        ``x``, where ``2**exp`` is the power of two just above ``max|x|``,
+        and ``inf`` where that value is above the largest double.
         Dividing by a power of two is exact and puts the largest square in
         [1/4, 1), so the sum cannot overflow for extreme magnitudes. fsum
         rounds the exact sum of the rounded squares correctly, so the value
@@ -98,16 +99,21 @@ class ParamStore:
         if not math.isfinite(biggest):
             return biggest  # inf, or NaN if any element is NaN
         exp = math.frexp(biggest)[1]
-        scale = math.ldexp(1.0, exp)
+        # y = x / 2**exp. 2**1024 is not a double, but 2**-1024 is, and x times
+        # it rounds the same exact quotient.
+        op, c = (np.multiply, 2.0 ** -1024) if exp > 1023 else (np.divide, math.ldexp(1.0, exp))
         if n < _EXACT_CUTOFF:
-            y = x / scale
+            y = op(x, c)
             total = math.fsum((y * y).tolist())
         else:
-            total = _certified_sum(_scaled_squares(views, scale, n), n)
+            total = _certified_sum(_scaled_squares(views, op, c, n), n)
             if total is None:
                 total = math.fsum(chain.from_iterable(
-                    sq.tolist() for sq in _scaled_squares(views, scale, n)))
-        return math.ldexp(math.sqrt(total), exp)
+                    sq.tolist() for sq in _scaled_squares(views, op, c, n)))
+        try:
+            return math.ldexp(math.sqrt(total), exp)
+        except OverflowError:
+            return math.inf  # the norm is above the largest double
 
     def norm_ratio(self) -> float:
         """Current controlled norm as a multiple of the initial norm."""
@@ -137,8 +143,8 @@ def _max_abs(views: list[np.ndarray]) -> float:
     return biggest
 
 
-def _scaled_squares(views: list[np.ndarray], scale: float, n: int):
-    """Yield blocks of (x / scale)**2 over the views' elements, in order.
+def _scaled_squares(views: list[np.ndarray], op, c: float, n: int):
+    """Yield blocks of op(x, c)**2 over the views' elements, in order.
 
     Every block is the same buffer refilled, so a consumer must be done with
     one block (and may overwrite it) before it asks for the next.
@@ -149,7 +155,7 @@ def _scaled_squares(views: list[np.ndarray], scale: float, n: int):
         pos = 0
         while pos < v.size:
             take = min(v.size - pos, buf.size - k)
-            np.divide(v[pos:pos + take], scale, out=buf[k:k + take])
+            op(v[pos:pos + take], c, out=buf[k:k + take])
             k += take
             pos += take
             if k == buf.size:

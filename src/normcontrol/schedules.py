@@ -150,6 +150,8 @@ class ScheduleSpec:
         for spec, name in ((self.rt, "rt"), (self.kt, "kt")):
             if spec.points[-1][0] > self.horizon:
                 raise ConfigError(name, f"last breakpoint beyond horizon {self.horizon}")
+        if not isinstance(self.target_mode, TargetNormMode):
+            raise ConfigError("target_mode", f"must be a TargetNormMode, got {self.target_mode!r}")
 
     def eta_at(self, t: int) -> float:
         return cosine_value(self.eta, t, self.horizon)

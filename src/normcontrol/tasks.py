@@ -17,6 +17,9 @@ from .params import ParamGroup
 
 TRAIN_POOL = 1024
 VAL_POOL = 256
+# Row indices per rng.integers call in batches(): a block holds
+# max(1, _DRAW // batch_size) steps, 64 KB of indices.
+_DRAW = 1 << 13
 
 
 def quadratic_loss_grad(theta: np.ndarray, a_diag: np.ndarray, b: np.ndarray):
@@ -85,7 +88,30 @@ def mlp_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, in_dim: int, 
     return loss, grad
 
 
-class QuadraticTask:
+class _TrainPool:
+    """Batches of TRAIN_POOL rows drawn with replacement; _gather(idx) is the
+    batch that an array of row indices selects."""
+
+    def sample_batch(self, rng: np.random.Generator, batch_size: int):
+        return self._gather(rng.integers(0, TRAIN_POOL, batch_size))
+
+    def batches(self, rng: np.random.Generator, batch_size: int, steps: int):
+        """Yield the batches of `steps` consecutive sample_batch calls.
+
+        The indices come in blocks of k steps, one (k, batch_size) draw each.
+        Such a draw gives the numbers of k (batch_size,) draws, in order, and
+        leaves rng in the same state, so the batches and rng afterwards equal
+        sample_batch's bit for bit (tests/test_tasks.py pins this).
+        """
+        per_block = max(1, _DRAW // batch_size)
+        while steps > 0:
+            k = min(steps, per_block)
+            for idx in rng.integers(0, TRAIN_POOL, (k, batch_size)):
+                yield self._gather(idx)
+            steps -= k
+
+
+class QuadraticTask(_TrainPool):
     """Noisy diagonal quadratic: batches perturb the linear term."""
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -102,22 +128,21 @@ class QuadraticTask:
     def loss_and_grad(self, theta, batch):
         return quadratic_loss_grad(theta, self.a_diag, self.b + batch.mean(axis=0))
 
-    def sample_batch(self, rng: np.random.Generator, batch_size: int):
-        return self.train_noise[rng.integers(0, TRAIN_POOL, batch_size)]
+    def _gather(self, idx):
+        return self.train_noise[idx]
 
     def val_batch(self):
         return self.val_noise
 
 
-class _PooledTask:
+class _PooledTask(_TrainPool):
     """Features X and targets y, split into the train and validation pools."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         self.train_X, self.val_X = X[:TRAIN_POOL], X[TRAIN_POOL:]
         self.train_y, self.val_y = y[:TRAIN_POOL], y[TRAIN_POOL:]
 
-    def sample_batch(self, rng: np.random.Generator, batch_size: int):
-        idx = rng.integers(0, TRAIN_POOL, batch_size)
+    def _gather(self, idx):
         return self.train_X[idx], self.train_y[idx]
 
     def val_batch(self):

@@ -330,21 +330,21 @@ def _shipped(name, **changes):
 
 
 DIVERGING_A = {"lambda": "1e-301", "alpha": "1e300"}  # decay rate 0.1; loss inf at step 2
-DIVERGING_B = {"alpha": "1.7e308"}                      # overflows in step 1
+DIVERGING_B = {"alpha": "1.7e308"}  # weights near the float max in step 1; loss nan at step 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("a_changes, b_changes, rc, line", [
     (DIVERGING_A, {}, 3, "numeric error: run aborted at step 2: non-finite training loss inf"),
-    ({}, DIVERGING_B, 3, "numeric error: run aborted at step 1: math range error"),
+    ({}, DIVERGING_B, 3, "numeric error: run aborted at step 2: non-finite training loss nan"),
     (DIVERGING_A, DIVERGING_B, 3,
      "numeric error: run aborted at step 2: non-finite training loss inf"),
     # a decay rate of exactly 1 takes A's norm to 0 at every step
     ({"variant": "decay_decoupled", "lambda": "1.0", "eta": "cosine(1.0, 1.0)"},
      {"eta": "cosine(1.0, 1.0)"}, 2, "error: reference norm ratio must be > 0, got 0.0 at t=50"),
-    # B stops at step 1 while A still has 3,000 rows to send
+    # B stops at step 2 while A still has most of its 3,000 rows to send
     ({"eval_every": "1"}, {"eval_every": "1", **DIVERGING_B}, 3,
-     "numeric error: run aborted at step 1: math range error"),
+     "numeric error: run aborted at step 2: non-finite training loss nan"),
     # A's only step overflows its weights after a finite loss and gradient: its norm ratio is inf
     ({"task": "quadratic", "variant": "coupled_sgd", "eta": None, "T": "1", "alpha": "1e308"},
      {"task": "quadratic", "T": "1", "rt": "const(1.0)"}, 2, "error: rt: value inf is not finite"),

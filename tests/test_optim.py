@@ -21,6 +21,7 @@ from normcontrol.optim import (
 )
 from normcontrol.params import ParamGroup, ParamStore
 from normcontrol.schedules import (
+    ConfigError,
     CosineSpec,
     EtaTiedKt,
     PiecewiseLinearSpec,
@@ -428,6 +429,13 @@ def test_config_validation():
         OptimizerConfig(alpha=0.0)
     with pytest.raises(ValueError, match="weight_decay"):
         OptimizerConfig(weight_decay=-0.1)
+
+
+def test_config_rejects_a_variant_that_is_not_a_variant():
+    # Text is not a Variant: a config built with it used to run as bare Adam.
+    with pytest.raises(ConfigError) as e:
+        OptimizerConfig(variant="decay_coupled_lr", weight_decay=0.5)
+    assert str(e.value) == "variant: must be a Variant, got 'decay_coupled_lr'"
 
 
 @pytest.mark.parametrize("variant", list(Variant))

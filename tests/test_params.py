@@ -11,7 +11,7 @@ from normcontrol import optim, params
 from normcontrol.optim import OptimizerConfig, OptimizerState, Variant
 from normcontrol.params import ParamGroup, ParamStore
 from normcontrol.schedules import CosineSpec, PiecewiseLinearSpec, ScheduleSpec
-from normcontrol.verify import oracle_from_store, oracle_step
+from normcontrol.verify import oracle_controlled_norm, oracle_from_store, oracle_step
 
 EPS = np.finfo(np.float64).eps
 
@@ -181,8 +181,11 @@ def _fsum_norm(x: np.ndarray) -> float:
     if math.isinf(biggest):
         return math.inf
     exp = math.frexp(biggest)[1]
-    y = x / math.ldexp(1.0, exp)
-    return math.ldexp(math.sqrt(math.fsum((y * y).tolist())), exp)
+    y = x * 2.0 ** -1024 if exp == 1024 else x / math.ldexp(1.0, exp)  # 2**1024 overflows
+    try:
+        return math.ldexp(math.sqrt(math.fsum((y * y).tolist())), exp)
+    except OverflowError:
+        return math.inf
 
 
 def _store_with_controlled(rng, controlled: np.ndarray) -> ParamStore:
@@ -211,6 +214,12 @@ def test_controlled_norm_bitwise_equals_fsum_formula(size):
         x[rng.random(size) < 0.2] = 0.0
         store = _store_with_controlled(rng, x)
         assert store.controlled_norm() == _fsum_norm(x), magnitude
+    for top in (2.0 ** 1023, 9e307, 1.7e308):  # frexp's exponent is 1024
+        for spread in (1e-10, 1.0):  # the norm is finite, or above the largest double
+            x = rng.uniform(-1.0, 1.0, size) * spread * top
+            x[rng.integers(size)] = top
+            store = _store_with_controlled(rng, x)
+            assert store.controlled_norm() == _fsum_norm(x), (top, spread)
     zeros = _store_with_controlled(rng, np.zeros(size))
     assert zeros.controlled_norm() == 0.0
     for bad, want in (([math.inf], math.inf), ([-math.inf], math.inf),
@@ -219,6 +228,16 @@ def test_controlled_norm_bitwise_equals_fsum_formula(size):
         x[rng.choice(size, len(bad), replace=False)] = bad
         got = _store_with_controlled(rng, x).controlled_norm()
         assert got == want or (math.isnan(got) and math.isnan(want)), bad
+
+
+def test_controlled_norm_at_the_top_of_the_double_range():
+    # max|x| >= 2**1023 puts the scale at 2**1024, which is not a double.
+    x = [9e307, 1.0]
+    assert ParamStore(np.array(x), [ParamGroup("a", 0, 2)]).controlled_norm() == 9e307
+    assert oracle_controlled_norm(x, [True, True]) == 9e307
+    for n, want in ((4, 2 * 8.9e307), (5, math.inf), (2000, math.inf)):  # 8.9e307 * sqrt(n)
+        store = ParamStore(np.full(n, 8.9e307), [ParamGroup("a", 0, n)])
+        assert store.controlled_norm() == want, n
 
 
 def test_exact_tie_reaches_the_fsum_fallback():

@@ -160,6 +160,12 @@ class TestParse:
         assert (parsed.value.key, parsed.value.line) == ("T", 3)
         assert str(parsed.value) == "line 3: T: must be a positive integer, got 0"
 
+    def test_target_mode_must_be_a_target_norm_mode(self):
+        # Text is not a TargetNormMode: a spec built with it used to fail at step 1.
+        with pytest.raises(ConfigError) as e:
+            ScheduleSpec(horizon=10, target_mode="relative")
+        assert str(e.value) == "target_mode: must be a TargetNormMode, got 'relative'"
+
 
 @st.composite
 def schedule_texts(draw):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from normcontrol import tasks
 from normcontrol.tasks import (
     LogisticTask,
     MlpTask,
@@ -204,6 +205,29 @@ def test_batch_generation_is_seed_deterministic():
             assert np.array_equal(b1, b2)
         else:
             assert np.array_equal(b1[0], b2[0]) and np.array_equal(b1[1], b2[1])
+
+
+@pytest.mark.parametrize("high", [tasks.TRAIN_POOL, 1000])  # and one not a power of two
+@pytest.mark.parametrize("batch_size, steps", [
+    (32, 5),  # fewer steps than one block
+    (32, 3 * (tasks._DRAW // 32) + 7),  # not a whole number of blocks
+    (7, 2000),  # blocks of 1170 steps, an odd number of indices each
+    (tasks._DRAW + 1, 3),  # one step per block
+])
+@pytest.mark.parametrize("name", ["quadratic", "logistic", "mlp"])
+def test_batches_are_consecutive_sample_batch_calls(monkeypatch, name, batch_size, steps, high):
+    # One (k, batch_size) draw must give k (batch_size,) draws' numbers and
+    # leave the generator where they leave it; this pins that on the installed numpy.
+    monkeypatch.setattr(tasks, "TRAIN_POOL", high)
+    task = build_task(name, 4, 8, np.random.default_rng(0))
+    blocked, single = np.random.default_rng(1), np.random.default_rng(1)
+    got = list(task.batches(blocked, batch_size, steps))
+    want = [task.sample_batch(single, batch_size) for _ in range(steps)]
+    assert len(got) == steps
+    for t, (g, w) in enumerate(zip(got, want)):
+        g, w = (g, w) if name != "quadratic" else ((g,), (w,))
+        assert all(np.array_equal(a, b) for a, b in zip(g, w, strict=True)), t
+    assert blocked.bit_generator.state == single.bit_generator.state
 
 
 def test_loss_and_grad_deterministic_given_inputs():
