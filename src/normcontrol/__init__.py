@@ -24,7 +24,6 @@ from .schedules import (
     EtaTiedKt,
     PiecewiseLinearSpec,
     ScheduleSpec,
-    TargetNormMode,
     parse_schedule_spec,
 )
 from .tasks import build_task, finite_diff_check

@@ -33,7 +33,7 @@ from .schedules import (
     ConfigError,
     PiecewiseLinearSpec,
     ScheduleSpec,
-    TargetNormMode,
+    is_integer,
     parse_assignments,
     parse_choice,
 )
@@ -55,6 +55,9 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in TASK_NAMES:
             raise ConfigError("task", f"must be one of {TASK_NAMES}, got {self.task!r}")
+        for name in ("dim", "hidden", "batch_size", "eval_every", "seed"):
+            if not is_integer(getattr(self, name)):
+                raise ConfigError(name, f"must be an integer, got {getattr(self, name)!r}")
         for name in ("dim", "hidden", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, f"must be a positive integer, got {getattr(self, name)}")
@@ -135,10 +138,10 @@ RUN_KEYS = {
 # The keys that optim.step never reads under each variant; parse_run_config
 # warns about each one the text sets.
 UNREAD_KEYS = {
-    Variant.NONE: ("rt", "kt", "target_mode", "lambda"),
-    Variant.DECAY_COUPLED_LR: ("rt", "kt", "target_mode"),
-    Variant.DECAY_DECOUPLED: ("rt", "kt", "target_mode"),
-    Variant.COUPLED_SGD: ("rt", "kt", "target_mode", "eta", "beta1", "beta2", "epsilon"),
+    Variant.NONE: ("rt", "kt", "lambda"),
+    Variant.DECAY_COUPLED_LR: ("rt", "kt"),
+    Variant.DECAY_DECOUPLED: ("rt", "kt"),
+    Variant.COUPLED_SGD: ("rt", "kt", "eta", "beta1", "beta2", "epsilon"),
     Variant.NORM_CONTROL: ("lambda",),
 }
 
@@ -297,11 +300,11 @@ def _experiment(config: RunConfig) -> dict:
 def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonReport:
     """Run a decay reference, calibrate rt from it, run norm control, report.
 
-    config_b_template must use the NORM_CONTROL variant with a relative target_mode, and
-    describe A's experiment: every key of _experiment equal to A's. Its rt schedule is
-    replaced by A's measured norm trajectory (calibrate_rt_from_run). All of this is checked
-    before config_a runs. A runs in a child process beside B, with the outputs and errors
-    of running A, then B.
+    config_b_template must use the NORM_CONTROL variant and describe A's experiment:
+    every key of _experiment equal to A's. Its rt schedule is replaced by A's measured
+    norm trajectory (calibrate_rt_from_run). All of this is checked before config_a
+    runs. A runs in a child process beside B, with the outputs and errors of running A,
+    then B.
     """
     if config_a.optimizer.variant not in (Variant.DECAY_COUPLED_LR, Variant.DECAY_DECOUPLED,
                                           Variant.COUPLED_SGD):
@@ -313,9 +316,6 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
         if experiment_b[key] != value_a:
             raise ConfigError(key, f"template B has {experiment_b[key]!r}, config A "
                                    f"{value_a!r}; both must describe the same experiment")
-    if config_b_template.schedules.target_mode is not TargetNormMode.RELATIVE:
-        raise ConfigError("target_mode", "template B must be relative, since the "
-                                         "calibrated rt is a norm ratio")
     rt = _StreamedRt(config_a)
     try:
         try:

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .params import ParamStore
-from .schedules import ConfigError, TargetNormMode
+from .schedules import ConfigError
 
 # Below this, the controlled vector is treated as zero: any multiple of it is
 # itself, so a norm target > 0 is unreachable and the update is skipped.
@@ -115,7 +115,7 @@ class StepReport:
     eta_t: float  # applied: the eta schedule, else 1.0 under coupled SGD
     r_t: float  # applied: the rt schedule under norm control, else 0
     k_t: float  # applied: the kt schedule under norm control, else cfg.decay_rate(eta_t)
-    target_norm: float  # what r_t asks for under sched.target_mode (0 unless norm control)
+    target_norm: float  # r_t * the initial controlled norm (0 unless norm control)
     scale: float  # factor applied to the controlled groups by the regularization (1.0: none)
 
 
@@ -134,13 +134,9 @@ def adam_moment_update(
     ``part``, a slice of the flat vector, limits the update to those elements
     and returns the scratch rows' views of them; the arithmetic is
     elementwise, so updating the parts of a vector one by one gives the bits
-    of one whole-vector call. ``step`` goes through a store above ``_CHUNK``
-    elements part by part, running this and ``adam_param_update`` on one part
-    before the next, so each part stays in L2 between the two. 2**15 elements
-    measured best: a 10^6-element norm-control step plus its quadratic
-    gradient took 28.2, 27.1, 29.4 and 29.9 ms (medians) at parts of 2**14,
-    2**15, 2**16 and 2**17, and 31.5 ms unchunked, on a 2-vCPU Xeon VM with
-    2 MB of L2 per core.
+    of one whole-vector call. Parts exist so that ``step`` can run this and
+    ``adam_param_update`` on one part of at most ``_CHUNK`` elements before
+    the next, while that part's rows are still in L2.
     """
     if state.t < 1:
         raise ValueError("state.t must be incremented before the moment update")
@@ -197,8 +193,8 @@ def adam_param_update(
 
 def regularize_decay(store: ParamStore, rate: float) -> float:
     """Multiplicative decay theta *= (1 - rate) on controlled groups only; returns 1 - rate."""
-    if rate < 0.0:
-        raise ValueError(f"decay rate must be >= 0, got {rate}")
+    if not 0.0 <= rate <= 1.0:  # NaN fails too; a rate above 1 would flip the signs
+        raise ValueError(f"decay rate must be in [0, 1], got {rate}")
     factor = 1.0 - rate
     store.scale_controlled(factor)
     return factor
@@ -211,21 +207,15 @@ def _check_rates(r_t: float, k_t: float) -> None:
         raise ValueError(f"r_t must be >= 0, got {r_t}")
 
 
-def regularize_norm_control(
-    store: ParamStore,
-    r_t: float,
-    k_t: float,
-    mode: TargetNormMode = TargetNormMode.RELATIVE,
-) -> float:
+def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
     """Move the controlled norm toward its target at rate k_t; return the factor.
 
-    The target is r_t * ||theta_0|| (relative mode) or r_t itself (absolute
-    mode). The controlled vector is scaled by the convex blend
-    (1 - k_t) + k_t * target/norm, so the resulting norm is exactly
-    (1 - k_t) * norm + k_t * target in real arithmetic, and k_t = 1 projects
-    straight onto the target. r_t = 0 reduces to plain decay with no division
-    and no norm measurement. A (near) zero controlled norm is left as it is,
-    with a warning, and the factor returned is 1.0.
+    The target is r_t * ||theta_0||. The controlled vector is scaled by the
+    convex blend (1 - k_t) + k_t * target/norm, so the resulting norm is
+    exactly (1 - k_t) * norm + k_t * target in real arithmetic, and k_t = 1
+    projects straight onto the target. r_t = 0 reduces to plain decay with no
+    division and no norm measurement. A (near) zero controlled norm is left as
+    it is, with a warning, and the factor returned is 1.0.
     """
     _check_rates(r_t, k_t)
     if r_t == 0.0:
@@ -239,8 +229,7 @@ def regularize_norm_control(
             stacklevel=2,
         )
         return 1.0
-    target = mode.target(r_t, store.initial_norm)
-    factor = (1.0 - k_t) + k_t * (target / n)
+    factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n)
     store.scale_controlled(factor)
     return factor
 
@@ -285,9 +274,9 @@ def step(
 ) -> StepReport:
     """Run one full optimizer step for step index t (1-based).
 
-    ``sched`` is anything with eta_at/rt_at/kt_at methods and a target_mode
-    attribute, normally a ScheduleSpec; only norm control reads rt_at/kt_at,
-    and only norm control with r_t > 0 measures the controlled norm (once).
+    ``sched`` is anything with eta_at/rt_at/kt_at methods, normally a
+    ScheduleSpec; only norm control reads rt_at/kt_at, and only norm control
+    with r_t > 0 measures the controlled norm (once).
     """
     if t != state.t + 1:
         raise ValueError(f"step index {t} not consecutive with state.t={state.t}")
@@ -310,9 +299,7 @@ def step(
             m_hat, v_hat = adam_moment_update(state, g, cfg, part)
             adam_param_update(store, m_hat, v_hat, eta_t, cfg, part)
         del parts, part, m_hat, v_hat  # a part's views would be held through the norm's peak
-        scale = (1.0 if cfg.variant is Variant.NONE
-                 else regularize_norm_control(store, r_t, k_t, sched.target_mode))
+        scale = 1.0 if cfg.variant is Variant.NONE else regularize_norm_control(store, r_t, k_t)
 
     # Positional arguments: keywords make a small store's step measurably slower.
-    return StepReport(t, eta_t, r_t, k_t, sched.target_mode.target(r_t, store.initial_norm),
-                      scale)
+    return StepReport(t, eta_t, r_t, k_t, r_t * store.initial_norm, scale)

@@ -11,31 +11,19 @@ Text format, one assignment per line, ``#`` starts a comment::
     eta = cosine(1.0, 0.1, warmup=100)
     rt = linear(0:1.0, 2500:2.415)
     kt = const(0.01)
-    target_mode = relative
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .optim import OptimizerConfig
-
-
-class TargetNormMode(Enum):
-    """How rt is interpreted: a multiple of the initial norm, or a raw norm."""
-
-    RELATIVE = "relative"
-    ABSOLUTE = "absolute"
-
-    def target(self, r_t: float, initial_norm: float) -> float:
-        """The norm r_t asks for: r_t * initial_norm (relative) or r_t (absolute)."""
-        return r_t * initial_norm if self is TargetNormMode.RELATIVE else r_t
 
 
 class ConfigError(ValueError):
@@ -48,6 +36,11 @@ class ConfigError(ValueError):
         self.key, self.message, self.line = key, message, line
         text = message if key is None else f"{key}: {message}"
         super().__init__(text if line is None else f"line {line}: {text}")
+
+
+def is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is neither here, though True == 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -63,6 +56,9 @@ class CosineSpec:
             raise ConfigError(field_name, "requires 0 < eta_min <= eta_max")
         if self.eta_max > 1.0:
             raise ConfigError(field_name, "eta_max must be <= 1 (multiplier in (0, 1])")
+        if not is_integer(self.warmup_steps):
+            raise ConfigError(field_name,
+                              f"warmup_steps must be an integer, got {self.warmup_steps!r}")
         if self.warmup_steps < 0:
             raise ConfigError(field_name, "warmup_steps must be >= 0")
 
@@ -137,9 +133,11 @@ class ScheduleSpec:
     eta: CosineSpec = CosineSpec()
     rt: PiecewiseLinearSpec = PiecewiseLinearSpec.const(0.0)
     kt: PiecewiseLinearSpec = PiecewiseLinearSpec.const(0.01)
-    target_mode: TargetNormMode = TargetNormMode.RELATIVE
+    target_mode = "relative"  # not a field; benchmarks/workloads.py passes it to oracle_step
 
     def __post_init__(self):
+        if not is_integer(self.horizon):
+            raise ConfigError("horizon", f"must be an integer, got {self.horizon!r}")
         if self.horizon <= 0:
             raise ConfigError("horizon", f"must be a positive integer, got {self.horizon}")
         self.eta.validate("eta")
@@ -150,8 +148,6 @@ class ScheduleSpec:
         for spec, name in ((self.rt, "rt"), (self.kt, "kt")):
             if spec.points[-1][0] > self.horizon:
                 raise ConfigError(name, f"last breakpoint beyond horizon {self.horizon}")
-        if not isinstance(self.target_mode, TargetNormMode):
-            raise ConfigError("target_mode", f"must be a TargetNormMode, got {self.target_mode!r}")
 
     def eta_at(self, t: int) -> float:
         return cosine_value(self.eta, t, self.horizon)
@@ -174,7 +170,6 @@ class EtaTiedKt:
 
     base: ScheduleSpec
     decay_cfg: OptimizerConfig
-    target_mode = TargetNormMode.RELATIVE
 
     def eta_at(self, t: int) -> float:
         return self.base.eta_at(t)
@@ -241,7 +236,6 @@ SCHEDULE_KEYS = {
     "eta": (ScheduleSpec, "eta", _parse_cosine),
     "rt": (ScheduleSpec, "rt", _parse_piecewise),
     "kt": (ScheduleSpec, "kt", _parse_piecewise),
-    "target_mode": (ScheduleSpec, "target_mode", parse_choice(TargetNormMode)),
 }
 
 

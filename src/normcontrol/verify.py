@@ -26,7 +26,6 @@ from .schedules import (
     EtaTiedKt,
     PiecewiseLinearSpec,
     ScheduleSpec,
-    TargetNormMode,
     cosine_value,
 )
 
@@ -95,9 +94,11 @@ def oracle_step(
     r_t: float,
     k_t: float,
     cfg: OptimizerConfig,
-    mode: TargetNormMode = TargetNormMode.RELATIVE,
+    mode: str = "relative",  # benchmarks/workloads.py passes ScheduleSpec.target_mode
 ) -> OracleState:
     """One full optimizer step, transcribed as naive per-element loops."""
+    if mode != "relative":
+        raise ValueError(f"target mode must be 'relative', got {mode!r}")
     n = len(oracle.theta)
     oracle.t = t
 
@@ -130,8 +131,7 @@ def oracle_step(
     elif cfg.variant is Variant.NORM_CONTROL:
         norm = oracle_controlled_norm(oracle.theta, oracle.controlled)
         if norm >= optim.ZERO_NORM_EPS:
-            target = r_t * oracle.initial_norm if mode is TargetNormMode.RELATIVE else r_t
-            shrink = k_t * (1.0 - target / norm)
+            shrink = k_t * (1.0 - r_t * oracle.initial_norm / norm)
     if shrink is not None:
         for i in range(n):
             if oracle.controlled[i]:

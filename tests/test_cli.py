@@ -299,7 +299,7 @@ def test_compare_rejects_a_template_of_another_experiment(tmp_path, capsys, monk
     monkeypatch.setattr(harness, "_StreamedRt", no_run)
     shipped = (CONFIGS_DIR / "mlp_norm_control.cfg").read_text()
     templates = {
-        "target_mode": shipped.replace("target_mode = relative", "target_mode = absolute"),
+        "eta": shipped.replace("eta = cosine(1.0, 0.1)", "eta = cosine(1.0, 0.2)"),
         "task": shipped.replace("task = mlp", "task = quadratic").replace("T = 3000", "T = 1000"),
         "T": shipped.replace("T = 3000", "T = 2000"),
     }

@@ -23,7 +23,6 @@ from normcontrol.schedules import (
     CosineSpec,
     PiecewiseLinearSpec,
     ScheduleSpec,
-    TargetNormMode,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -63,17 +62,13 @@ class TestRun:
     def test_trace_self_consistency(self):
         cfg = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=150, eval_every=25,
                           rt=PiecewiseLinearSpec.linear([(0, 1.0), (50, 2.0)]))
-        for mode in TargetNormMode:
-            trace = run(replace(cfg, schedules=replace(cfg.schedules, target_mode=mode)))
-            ts = [r.t for r in trace.rows]
-            assert ts == sorted(ts) and len(set(ts)) == len(ts)
-            for row in trace.rows:
-                if mode is TargetNormMode.RELATIVE:
-                    assert row.target_norm == row.r_t * trace.initial_norm
-                else:
-                    assert row.target_norm == row.r_t
-                assert abs(row.norm_ratio * trace.initial_norm - row.actual_norm) \
-                    <= 1e-12 * row.actual_norm
+        trace = run(cfg)
+        ts = [r.t for r in trace.rows]
+        assert ts == sorted(ts) and len(set(ts)) == len(ts)
+        for row in trace.rows:
+            assert row.target_norm == row.r_t * trace.initial_norm
+            assert abs(row.norm_ratio * trace.initial_norm - row.actual_norm) \
+                <= 1e-12 * row.actual_norm
 
     def test_trace_reports_the_applied_rt_and_kt(self):
         # rt and kt are set but only norm control reads them; the other
@@ -81,21 +76,19 @@ class TestRun:
         rt = PiecewiseLinearSpec.linear([(0, 1.0), (50, 1.5)])
         kt = PiecewiseLinearSpec.const(0.05)
         for variant in Variant:
-            for mode in TargetNormMode:
-                cfg = make_config(task="mlp", variant=variant, T=120, eval_every=20, lam=0.1,
-                                  rt=rt, kt=kt, eta=CosineSpec(1.0, 0.1, warmup_steps=10))
-                cfg = replace(cfg, schedules=replace(cfg.schedules, target_mode=mode))
-                sched, opt = cfg.schedules, cfg.optimizer
-                for row in run(cfg).rows:
-                    if variant is Variant.NORM_CONTROL:
-                        assert (row.r_t, row.k_t) == (sched.rt_at(row.t), sched.kt_at(row.t))
-                        assert row.target_norm > 0.0
-                    else:
-                        assert row.r_t == row.target_norm == 0.0, (variant, row.t)
-                        assert row.k_t == {Variant.NONE: 0.0,  # the rate the step applied
-                                           Variant.DECAY_COUPLED_LR: row.eta_t * opt.alpha * 0.1,
-                                           Variant.DECAY_DECOUPLED: row.eta_t * 0.1,
-                                           Variant.COUPLED_SGD: 0.1}[variant]
+            cfg = make_config(task="mlp", variant=variant, T=120, eval_every=20, lam=0.1,
+                              rt=rt, kt=kt, eta=CosineSpec(1.0, 0.1, warmup_steps=10))
+            sched, opt = cfg.schedules, cfg.optimizer
+            for row in run(cfg).rows:
+                if variant is Variant.NORM_CONTROL:
+                    assert (row.r_t, row.k_t) == (sched.rt_at(row.t), sched.kt_at(row.t))
+                    assert row.target_norm > 0.0
+                else:
+                    assert row.r_t == row.target_norm == 0.0, (variant, row.t)
+                    assert row.k_t == {Variant.NONE: 0.0,  # the rate the step applied
+                                       Variant.DECAY_COUPLED_LR: row.eta_t * opt.alpha * 0.1,
+                                       Variant.DECAY_DECOUPLED: row.eta_t * 0.1,
+                                       Variant.COUPLED_SGD: 0.1}[variant]
 
     def test_logs_every_eval_every_and_final_step(self):
         trace = run(make_config(T=105, eval_every=25))
@@ -247,8 +240,6 @@ class TestCompare:
             "control_biases": replace(b, control_biases=True),
             "T": replace(b, schedules=replace(sched, horizon=600)),
             "eta": replace(b, schedules=replace(sched, eta=CosineSpec(1.0, 0.2))),
-            "target_mode": replace(b, schedules=replace(
-                sched, target_mode=TargetNormMode.ABSOLUTE)),
         }
         for key, template in mismatched.items():
             with pytest.raises(ValueError, match=f"^{key}: "):
@@ -308,6 +299,10 @@ class TestScheduleTable:
         spec = ScheduleSpec(horizon=10)
         assert schedule_table_csv(spec, self.NC, 5).splitlines()[0] == "t,eta_t,r_t,k_t"
 
+    def test_stride_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^stride must be >= 1, got 0$"):
+            schedule_table_csv(ScheduleSpec(horizon=10), self.NC, 0)
+
     @pytest.mark.parametrize("variant", list(Variant))
     def test_table_equals_trace(self, variant):
         # What the table shows is what a run of the same config applies.
@@ -363,6 +358,24 @@ class TestParseRunConfig:
             with pytest.raises(ValueError, match=name):
                 RunConfig(task="mlp", schedules=ScheduleSpec(horizon=10), **{name: 0})
 
+    @pytest.mark.parametrize("name, value", [
+        ("dim", 2.5), ("hidden", 16.0), ("batch_size", 2.0), ("seed", 0.0), ("eval_every", True),
+        ("seed", "1"), ("dim", np.float64(3.0))])
+    def test_counts_built_in_code_must_be_integers(self, name, value):
+        # else a float fails late (a TypeError, or an abort at step 1) and True runs as 1
+        with pytest.raises(ConfigError) as e:
+            RunConfig(task="mlp", schedules=ScheduleSpec(horizon=10), **{name: value})
+        assert str(e.value) == f"{name}: must be an integer, got {value!r}"
+
+    def test_numpy_integer_counts_run_as_ints(self):
+        counts = {"dim": 3, "hidden": 4, "batch_size": 5, "seed": 6, "eval_every": 7}
+        plain = RunConfig(task="mlp", schedules=ScheduleSpec(20, CosineSpec(1.0, 0.1, 2)),
+                          **counts)
+        numpy = RunConfig(task="mlp", schedules=ScheduleSpec(
+            np.int64(20), CosineSpec(1.0, 0.1, np.int64(2))),
+            **{name: np.int64(value) for name, value in counts.items()})
+        assert run(numpy).to_csv() == run(plain).to_csv()
+
     def test_task_seed_and_decay_rate_checked_at_construction(self):
         sched = ScheduleSpec(horizon=10)
         with pytest.raises(ValueError, match="task"):
@@ -405,6 +418,11 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match="^line 3: control_biases: "):
             parse_run_config("task = mlp\nT = 10\ncontrol_biases = maybe\n")
 
+    @pytest.mark.parametrize("text, value", [("yes", True), ("False", False), ("0", False)])
+    def test_bool_spellings(self, text, value):
+        cfg = parse_run_config(f"task = mlp\nT = 10\ncontrol_biases = {text}\n")
+        assert cfg.control_biases is value
+
     def test_warns_about_keys_the_variant_never_reads(self):
         with pytest.warns(UserWarning) as record:
             parse_run_config(self.GOOD)
@@ -419,16 +437,15 @@ class TestParseRunConfig:
 
     def test_the_keys_warned_about_do_not_change_the_run(self):
         base = {"task": "mlp", "T": "30", "eval_every": "10", "eta": "cosine(1.0, 0.1)",
-                "rt": "const(1.5)", "kt": "const(0.1)", "target_mode": "relative",
+                "rt": "const(1.5)", "kt": "const(0.1)",
                 "lambda": "0.1", "beta1": "0.8", "beta2": "0.99", "epsilon": "1e-6"}
         other = {"eta": "cosine(0.5, 0.5)", "rt": "const(0.5)", "kt": "const(0.3)",
-                 "target_mode": "absolute", "lambda": "0.2", "beta1": "0.5", "beta2": "0.9",
+                 "lambda": "0.2", "beta1": "0.5", "beta2": "0.9",
                  "epsilon": "1e-3"}
-        unread = {Variant.NONE: {"rt", "kt", "target_mode", "lambda"},
-                  Variant.DECAY_COUPLED_LR: {"rt", "kt", "target_mode"},
-                  Variant.DECAY_DECOUPLED: {"rt", "kt", "target_mode"},
-                  Variant.COUPLED_SGD: {"rt", "kt", "target_mode", "eta", "beta1", "beta2",
-                                        "epsilon"},
+        unread = {Variant.NONE: {"rt", "kt", "lambda"},
+                  Variant.DECAY_COUPLED_LR: {"rt", "kt"},
+                  Variant.DECAY_DECOUPLED: {"rt", "kt"},
+                  Variant.COUPLED_SGD: {"rt", "kt", "eta", "beta1", "beta2", "epsilon"},
                   Variant.NORM_CONTROL: {"lambda"}}
 
         def parse(values):

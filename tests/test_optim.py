@@ -26,7 +26,6 @@ from normcontrol.schedules import (
     EtaTiedKt,
     PiecewiseLinearSpec,
     ScheduleSpec,
-    TargetNormMode,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -117,6 +116,13 @@ class TestParamUpdate:
         adam_param_update(store, np.ones(2), np.ones(2), 1.0, OptimizerConfig())
         assert store.theta[0] == store.theta[1]  # loss update never masked
 
+    def test_shape_mismatch(self):
+        store = one_group_store([1.0, 2.0])
+        for m_hat, v_hat in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(1))):
+            with pytest.raises(ValueError, match="^moment shapes do not match"):
+                adam_param_update(store, m_hat, v_hat, 1.0, OptimizerConfig())
+        assert list(store.theta) == [1.0, 2.0]
+
 
 class TestRegularizeDecay:
     def test_basic_decay(self):
@@ -140,6 +146,14 @@ class TestRegularizeDecay:
         assert store.theta[0] == 1.0
         assert store.theta[1] == 2.0
 
+    def test_rate_outside_zero_one_rejected(self):
+        # NaN would turn the weights into NaN, a rate above 1 flip their signs
+        for rate in (math.nan, 1.5, -0.1):
+            store = one_group_store([2.0, -2.0])
+            with pytest.raises(ValueError, match=r"^decay rate must be in \[0, 1\], got"):
+                regularize_decay(store, rate)
+            assert list(store.theta) == [2.0, -2.0]
+
 
 class TestNormControl:
     def test_full_projection(self):
@@ -160,11 +174,6 @@ class TestNormControl:
         assert list(store.theta) == [4.5, 6.0]
         assert store.controlled_norm() == 7.5
         assert store.controlled_norm() == 0.5 * 5.0 + 0.5 * 10.0
-
-    def test_absolute_target_mode(self):
-        store = one_group_store([3.0, 4.0], initial_norm=123.0)
-        regularize_norm_control(store, 2.5, 1.0, mode=TargetNormMode.ABSOLUTE)
-        assert store.controlled_norm() == pytest.approx(2.5, rel=8 * EPS)
 
     def test_zero_vector_is_noop_for_positive_target(self):
         store = one_group_store([0.0, 0.0], initial_norm=1.0)
@@ -246,6 +255,12 @@ class TestCoupledSgd:
         sgd_step_coupled_decay(store, np.array([1.0, 1.0]), 0.1, 0.5)
         assert store.theta[0] == 0.9
         assert store.theta[1] == pytest.approx(1.9)
+
+    def test_shape_mismatch(self):
+        store = one_group_store([2.0, 3.0])
+        with pytest.raises(ValueError, match="^gradient shape"):
+            sgd_step_coupled_decay(store, np.ones(3), 0.1, 0.5)
+        assert list(store.theta) == [2.0, 3.0]
 
 
 def _run_steps(variant, sched, lam, grads):
@@ -549,7 +564,7 @@ def test_a_rejected_step_changes_nothing(variant):
         # A schedule spec rejects these values, so a stand-in serves them.
         for r, k, message in ((1.5, 1.5, "k_t"), (-1.0, 0.5, "r_t"), (math.nan, 0.5, "r_t")):
             bad = SimpleNamespace(eta_at=sched.eta_at, rt_at=lambda t, r=r: r,
-                                  kt_at=lambda t, k=k: k, target_mode=sched.target_mode)
+                                  kt_at=lambda t, k=k: k)
             rejected.append((rng.normal(size=6), bad, good, message))
     elif variant is not Variant.NONE:
         # A decay rate above one is a k_t above one.
@@ -597,7 +612,7 @@ def test_chunked_step_is_the_whole_vector_sequence(variant):
         else:
             adam_param_update(ref, *adam_moment_update(ref_state, g, cfg), eta_t, cfg)
             if variant is not Variant.NONE:
-                regularize_norm_control(ref, r_t, k_t, sched.target_mode)
+                regularize_norm_control(ref, r_t, k_t)
         for got, want in zip((store.theta, state.m, state.v),
                              (ref.theta, ref_state.m, ref_state.v)):
             assert np.array_equal(got, want), (variant, t)

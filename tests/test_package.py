@@ -21,11 +21,31 @@ def test_readme_python_blocks_run_in_order():
         namespace["sched"].eta_at(1))
 
 
+def _benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_function_the_benchmark_traces_exists():
     # the benchmark's tracer wraps these by name; deleting one would break the benchmark
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmarks" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    targets = tracing.traced_targets(normcontrol)
+    targets = _benchmark_module("tracing").traced_targets(normcontrol)
     assert targets
     assert [(owner, attr) for owner, attr, _ in targets if not hasattr(owner, attr)] == []
+
+
+def test_the_benchmark_workloads_run_on_the_package(tmp_path):
+    # small store_1m and verify_suite: every call the benchmark makes into the package still works
+    workloads = _benchmark_module("workloads")
+
+    class Store(workloads.Store1m):
+        LAYERS, WEIGHTS, BIASES = 2, 9, 3
+
+    class Suite(workloads.VerifySuite):
+        CASES = 5
+
+    for workload in (Store, Suite):
+        built = workload(normcontrol, workload.inputs(0, ROOT, tmp_path))
+        assert built.op_ok(built.op()), workload
+        assert [(name, detail) for name, ok, detail in built.checks() if not ok] == []

@@ -121,6 +121,8 @@ def test_groups_must_tile_contiguously():
         ParamStore(np.zeros(4), [ParamGroup("a", 0, 2, True), ParamGroup("b", 3, 1, True)])
     with pytest.raises(ValueError, match="cover"):
         ParamStore(np.zeros(4), [ParamGroup("a", 0, 2, True)])
+    with pytest.raises(ValueError, match="^group 'b' has negative length$"):
+        ParamStore(np.zeros(4), [ParamGroup("a", 0, 6, True), ParamGroup("b", 6, -2, True)])
 
 
 # Elements of magnitude 0 or in [1e-3, 1e3]: their squares neither underflow nor

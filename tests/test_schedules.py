@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normcontrol.cli import main
 from normcontrol.schedules import (
     ConfigError,
     CosineSpec,
     PiecewiseLinearSpec,
     ScheduleSpec,
-    TargetNormMode,
     cosine_value,
     parse_schedule_spec,
 )
@@ -29,6 +29,15 @@ class TestCosine:
     def test_exhausted_beyond_horizon(self):
         with pytest.raises(ValueError, match="schedule exhausted"):
             cosine_value(CosineSpec(), 1001, 1000)
+
+    @pytest.mark.parametrize("t, horizon, warmup, message", [
+        (-1, 1000, 0, "step index must be >= 0, got -1"),
+        (0, 10, 10, "horizon must exceed warmup_steps"),
+        (0, 5, 10, "horizon must exceed warmup_steps"),
+    ], ids=["negative-t", "horizon-at-warmup", "horizon-below-warmup"])
+    def test_bad_step_or_horizon_rejected(self, t, horizon, warmup, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cosine_value(CosineSpec(1.0, 0.1, warmup), t, horizon)
 
     def test_warmup_ramp(self):
         spec = CosineSpec(1.0, 0.1, warmup_steps=10)
@@ -109,6 +118,15 @@ class TestParse:
         with pytest.raises(ConfigError, match="^line 3: expected 'key = value'"):
             parse_schedule_spec("T = 100\n# fine\nthis is not an assignment\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("rt = 1.0", r"rt: expected const\(v\) or linear\(t:v, \.\.\.\), got '1\.0'"),
+        ("kt = 0.5", r"kt: expected const\(v\) or linear\(t:v, \.\.\.\), got '0\.5'"),
+        ("eta = 0.5", r"eta: expected cosine\(max, min\[, warmup=n\]\), got '0\.5'"),
+    ], ids=["rt", "kt", "eta"])
+    def test_a_value_that_is_no_call_rejected(self, line, message):
+        with pytest.raises(ConfigError, match=f"^line 2: {message}$"):
+            parse_schedule_spec(f"T = 10\n{line}\n")
+
     def test_unknown_key_rejected_unless_allowed(self):
         text = "T = 10\nbogus = 1\n"
         with pytest.raises(ConfigError, match="^line 2: unknown key 'bogus'$"):
@@ -126,12 +144,9 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"^line 2: T: duplicate key \(first set on line 1\)$"):
             parse_schedule_spec("T = 10\nT = 20\n")
 
-    def test_eta_warmup_and_mode(self):
-        spec = parse_schedule_spec(
-            "T = 100\neta = cosine(0.9, 0.2, warmup=7)\ntarget_mode = absolute\n"
-        )
+    def test_eta_warmup(self):
+        spec = parse_schedule_spec("T = 100\neta = cosine(0.9, 0.2, warmup=7)\n")
         assert spec.eta == CosineSpec(0.9, 0.2, 7)
-        assert spec.target_mode is TargetNormMode.ABSOLUTE
 
     def test_eta_max_above_one_rejected(self):
         with pytest.raises(ConfigError, match="^line 2: eta: "):
@@ -160,11 +175,27 @@ class TestParse:
         assert (parsed.value.key, parsed.value.line) == ("T", 3)
         assert str(parsed.value) == "line 3: T: must be a positive integer, got 0"
 
-    def test_target_mode_must_be_a_target_norm_mode(self):
-        # Text is not a TargetNormMode: a spec built with it used to fail at step 1.
+    @pytest.mark.parametrize("fields, message", [
+        ({"horizon": 10.5}, "horizon: must be an integer, got 10.5"),
+        ({"horizon": True}, "horizon: must be an integer, got True"),
+        ({"horizon": 10, "eta": CosineSpec(1.0, 0.1, 2.5)},
+         "eta: warmup_steps must be an integer, got 2.5"),
+        ({"horizon": 10, "eta": CosineSpec(1.0, 0.1, -1)}, "eta: warmup_steps must be >= 0"),
+    ], ids=["horizon-float", "horizon-bool", "warmup-float", "warmup-negative"])
+    def test_counts_built_in_code_are_checked(self, fields, message):
         with pytest.raises(ConfigError) as e:
-            ScheduleSpec(horizon=10, target_mode="relative")
-        assert str(e.value) == "target_mode: must be a TargetNormMode, got 'relative'"
+            ScheduleSpec(**fields)
+        assert str(e.value) == message
+
+    def test_target_mode_is_an_unknown_key(self, tmp_path, capsys):
+        # The norm target is always r_t * ||theta_0||; no key chooses another.
+        with pytest.raises(ConfigError, match="^line 2: unknown key 'target_mode'$"):
+            parse_schedule_spec("T = 10\ntarget_mode = relative\n")
+        config, out = tmp_path / "run.cfg", tmp_path / "trace.csv"
+        config.write_text("task = mlp\nvariant = norm_control\nT = 10\ntarget_mode = relative\n")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: line 4: unknown key 'target_mode'\n"
+        assert not out.exists()
 
 
 @st.composite
@@ -186,22 +217,19 @@ def schedule_texts(draw):
         else:
             lines.append(f"{key} = linear(" + ", ".join(f"{t}:{v!r}" for t, v in zip(ts, vals)) + ")")
         fields[key] = PiecewiseLinearSpec.linear(zip(ts, vals))
-    mode = draw(st.sampled_from(list(TargetNormMode)))
-    lines.append(f"target_mode = {mode.value}")
-    return "\n".join(lines) + "\n", ScheduleSpec(**fields, target_mode=mode)
+    return "\n".join(lines) + "\n", ScheduleSpec(**fields)
 
 
 def test_roundtrip_example():
     spec = parse_schedule_spec(
         "T = 5000\neta = cosine(1.0, 0.1)\nrt = linear(0:1.0, 2500:2.415)\n"
-        "kt = const(0.01)\ntarget_mode = relative\n"
+        "kt = const(0.01)\n"
     )
     assert spec == ScheduleSpec(
         5000,
         CosineSpec(1.0, 0.1, 0),
         PiecewiseLinearSpec.linear([(0, 1.0), (2500, 2.415)]),
         PiecewiseLinearSpec.linear([(0, 0.01)]),
-        TargetNormMode.RELATIVE,
     )
 
 
@@ -225,8 +253,7 @@ def schedule_specs(draw):
                          min_size=n_pts + 1, max_size=n_pts + 1))
     rt = PiecewiseLinearSpec.linear(list(zip([0] + ts, vals)))
     kt = PiecewiseLinearSpec.const(draw(st.floats(0.0, 1.0, allow_nan=False)))
-    mode = draw(st.sampled_from(list(TargetNormMode)))
-    return ScheduleSpec(horizon, CosineSpec(eta_max, eta_min, warmup), rt, kt, mode)
+    return ScheduleSpec(horizon, CosineSpec(eta_max, eta_min, warmup), rt, kt)
 
 
 @settings(max_examples=100, deadline=None)

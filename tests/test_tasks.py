@@ -75,6 +75,10 @@ class TestLogistic:
         with pytest.raises(ValueError, match="empty"):
             logistic_loss_grad(np.zeros(2), np.zeros((0, 2)), np.zeros(0))
 
+    def test_feature_dim_mismatch(self):
+        with pytest.raises(ValueError, match="^feature dim 3 != parameter dim 2$"):
+            logistic_loss_grad(np.zeros(2), np.zeros((4, 3)), np.zeros(4))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         task = LogisticTask(6, rng)
@@ -123,6 +127,9 @@ class TestMlp:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="layout"):
             mlp_loss_grad(np.zeros(5), np.ones((2, 3)), np.zeros(2), in_dim=3, hidden=2)
+        with pytest.raises(ValueError, match="^feature dim 4 != in_dim 3$"):
+            mlp_loss_grad(np.zeros(3 * 2 + 2 + 2 + 1), np.ones((2, 4)), np.zeros(2),
+                          in_dim=3, hidden=2)
 
     def test_group_layout_and_bias_control(self):
         rng = np.random.default_rng(0)

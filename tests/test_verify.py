@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from normcontrol import harness, optim
 from normcontrol.optim import OptimizerConfig, OptimizerState, Variant, step
 from normcontrol.params import ParamGroup, ParamStore
-from normcontrol.schedules import CosineSpec, PiecewiseLinearSpec, ScheduleSpec, TargetNormMode
+from normcontrol.schedules import CosineSpec, PiecewiseLinearSpec, ScheduleSpec
 from normcontrol.verify import (
     PropertyResult,
     SuiteReport,
@@ -101,6 +101,15 @@ def test_zero_gradient_decay_matches_geometric_closed_form():
         assert rel_diff(oracle.theta[i], float(expected[i])) <= 1e-12
 
 
+def test_oracle_step_knows_only_the_relative_target():
+    oracle = oracle_from_store(ParamStore(np.ones(2), [ParamGroup("w", 0, 2, True)]))
+    cfg = OptimizerConfig(variant=Variant.NORM_CONTROL)
+    oracle_step(oracle, [0.0, 0.0], 1, 1.0, 1.5, 0.5, cfg, "relative")
+    with pytest.raises(ValueError, match="^target mode must be 'relative', got 'absolute'$"):
+        oracle_step(oracle, [0.0, 0.0], 2, 1.0, 1.5, 0.5, cfg, "absolute")
+    assert oracle.t == 1
+
+
 def test_near_zero_theta_with_positive_target_stays_finite():
     dim = 4
     store = ParamStore(np.full(dim, 1e-200), [ParamGroup("w", 0, dim, True)],
@@ -121,7 +130,7 @@ def test_near_zero_theta_with_positive_target_stays_finite():
 
 @st.composite
 def run_configs(draw):
-    """Small runs over every variant, target mode, warmup and multi-breakpoint schedule."""
+    """Small runs over every variant, warmup and multi-breakpoint schedule."""
     horizon = draw(st.integers(20, 200))
 
     def piecewise(lo, hi):
@@ -134,8 +143,7 @@ def run_configs(draw):
         horizon=horizon,
         eta=CosineSpec(eta_max, draw(st.floats(0.01, 1.0)) * eta_max,
                        draw(st.integers(0, horizon // 2))),
-        rt=piecewise(0.0, 3.0), kt=piecewise(0.0, 1.0),
-        target_mode=draw(st.sampled_from(TargetNormMode)))
+        rt=piecewise(0.0, 3.0), kt=piecewise(0.0, 1.0))
     opt = OptimizerConfig(alpha=draw(st.floats(1e-4, 0.1)),
                           weight_decay=draw(st.floats(0.0, 0.5)),
                           variant=draw(st.sampled_from(Variant)))
@@ -160,8 +168,7 @@ def test_harness_run_agrees_with_the_oracle_at_every_step(config):
         oracle = oracle_from_store(store, state)
         oracle.initial_norm = initial_norm
         report = production_step(store, state, g, t, sched, cfg)
-        oracle_step(oracle, g.tolist(), t, sched.eta_at(t), sched.rt_at(t), sched.kt_at(t),
-                    cfg, sched.target_mode)
+        oracle_step(oracle, g.tolist(), t, sched.eta_at(t), sched.rt_at(t), sched.kt_at(t), cfg)
         want = np.array(oracle.theta)
         allowed = np.maximum(1e-13 * np.maximum(np.abs(store.theta), np.abs(want)), 1e-15)
         bad = np.flatnonzero(~(np.abs(store.theta - want) <= allowed))
