@@ -14,8 +14,8 @@ from itertools import chain
 
 import numpy as np
 
-# Stores with fewer controlled elements than this sum their squares with
-# math.fsum directly, which is faster there than the vectorized certified sum.
+# Stores with fewer controlled elements than this try math.fsum over the
+# unscaled squares first, which is faster there than the certified sum.
 _EXACT_CUTOFF = 1000
 # Elements per block of the certified sum: its transient memory is about two
 # blocks of float64, whatever the store size.
@@ -60,6 +60,13 @@ class ParamStore:
         self.groups = sorted(groups, key=lambda g: g.offset)
         _check_tiling(self.groups, self.theta.size)
         self.controlled_slices = [g.slice for g in self.groups if g.controlled]
+        # The small path gathers the controlled elements in one step: with the
+        # one controlled slice, or with an index array that only small stores build.
+        self._gather = None
+        if sum(s.stop - s.start for s in self.controlled_slices) < _EXACT_CUTOFF:
+            slices = self.controlled_slices or [slice(0, 0)]
+            self._gather = (slices[0] if len(slices) == 1 else
+                            np.concatenate([np.arange(s.start, s.stop) for s in slices]))
         if initial_norm is None:
             initial_norm = self.controlled_norm()
         self.initial_norm = float(initial_norm)
@@ -77,23 +84,44 @@ class ParamStore:
         does not depend on blocking and is bit-reproducible; equality-style
         invariants rely on it.
 
-        From ``_EXACT_CUTOFF`` elements on, the squares are summed blockwise
-        in numpy with TwoSum (see ``_certified_sum``): the exact sum T equals
-        a short float sum X of partial sums and accumulated errors to within
-        8 * 64 * n * u**2 * X (u = 2**-53; about 6.3e-30 * n * X). X is
-        rounded and returned only if X minus and X plus that bound round to
-        the same double, which is then the double nearest T, fsum's value.
-        Otherwise (an exact tie, say) fsum runs over the same squares. The
-        temporary memory is about two blocks of ``_BLOCK`` floats.
+        Below ``_EXACT_CUTOFF`` elements, with m the least rounded square
+        fl(x_i**2) and r the fsum of them all, sqrt(r) is returned if
+        m >= 2**-1021, r <= 2**1000 and r <= 2**1018 * m: the value above,
+        bit for bit. Rounding is monotone, so each exact x_i**2 lies in
+        [m / (1 + u), r / (1 - u)] (u = 2**-53), inside the normal range, and
+        as 4**exp <= 4 * max x_i**2, each y_i**2 = x_i**2 / 4**exp is at
+        least 2**-1020 * (1 - u) / (1 + u), normal too. There rounding
+        commutes with a power-of-two scale: y_i is exact, fl(y_i**2) =
+        fl(x_i**2) / 4**exp, the two sums (normal: between their least term
+        and n times their largest) round to r and r / 4**exp, and sqrt
+        and ldexp give sqrt(r). A zero, NaN, inf, a subnormal square or an
+        element below about 2**-509 times the largest fails this screen.
+
+        Otherwise the scaled squares are summed blockwise in numpy with
+        TwoSum (see ``_certified_sum``): the exact sum T equals a short float
+        sum X of partial sums and accumulated errors to within
+        8 * 64 * n * u**2 * X (about 6.3e-30 * n * X). X is rounded and
+        returned only if X minus and X plus that bound round to the same
+        double, which is then the double nearest T, fsum's value. Otherwise
+        (an exact tie, say) fsum runs over the same squares. The temporary
+        memory is about two blocks of ``_BLOCK`` floats.
         """
-        views = [self.theta[s] for s in self.controlled_slices]
-        n = sum(v.size for v in views)
-        if n < _EXACT_CUTOFF:
-            # Few elements: one gathered copy and math.fsum are the fastest.
-            x = np.concatenate(views) if views else self.theta[:0]
-            biggest = float(np.abs(x).max()) if n else 0.0
+        if self._gather is not None:
+            x = self.theta[self._gather]
+            with np.errstate(over="ignore"):  # an inf square fails the screen
+                sq = x * x
+            lo2 = float(sq.min(initial=math.inf))
+            try:
+                r = math.fsum(sq.tolist()) if lo2 >= 2.0 ** -1021 else math.inf
+            except OverflowError:  # the squares sum past the largest double
+                r = math.inf
+            if r <= 2.0 ** 1000 and r <= lo2 * 2.0 ** 1018:
+                return math.sqrt(r)
+            views = [x]
         else:
-            biggest = _max_abs(views)
+            views = [self.theta[s] for s in self.controlled_slices]
+        n = sum(v.size for v in views)
+        biggest = _max_abs(views)
         if biggest == 0.0:
             return 0.0
         if not math.isfinite(biggest):
@@ -102,14 +130,10 @@ class ParamStore:
         # y = x / 2**exp. 2**1024 is not a double, but 2**-1024 is, and x times
         # it rounds the same exact quotient.
         op, c = (np.multiply, 2.0 ** -1024) if exp > 1023 else (np.divide, math.ldexp(1.0, exp))
-        if n < _EXACT_CUTOFF:
-            y = op(x, c)
-            total = math.fsum((y * y).tolist())
-        else:
-            total = _certified_sum(_scaled_squares(views, op, c, n), n)
-            if total is None:
-                total = math.fsum(chain.from_iterable(
-                    sq.tolist() for sq in _scaled_squares(views, op, c, n)))
+        total = _certified_sum(_scaled_squares(views, op, c, n), n)
+        if total is None:
+            total = math.fsum(chain.from_iterable(
+                sq.tolist() for sq in _scaled_squares(views, op, c, n)))
         try:
             return math.ldexp(math.sqrt(total), exp)
         except OverflowError:

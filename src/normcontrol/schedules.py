@@ -95,9 +95,13 @@ class PiecewiseLinearSpec:
 
     @classmethod
     def linear(cls, points) -> "PiecewiseLinearSpec":
-        return cls(tuple((int(t), float(v)) for t, v in points))
+        """(t, v) pairs as breakpoints; a t that is no integer is kept for validate to reject."""
+        return cls(tuple((int(t) if is_integer(t) else t, float(v)) for t, v in points))
 
     def validate(self, field_name: str, lo: float | None = None, hi: float | None = None) -> None:
+        for t, _ in self.points:
+            if not is_integer(t):
+                raise ConfigError(field_name, f"breakpoint step must be an integer, got {t!r}")
         if not self.points or self.points[0][0] != 0:
             raise ConfigError(field_name, "needs a first breakpoint at t=0")
         for (t0, _), (t1, _) in zip(self.points, self.points[1:]):
@@ -211,7 +215,8 @@ def _parse_piecewise(value: str) -> PiecewiseLinearSpec:
         if kind == "const" and len(args) == 1:
             return PiecewiseLinearSpec.const(float(args[0]))
         if kind == "linear":
-            return PiecewiseLinearSpec.linear(arg.split(":") for arg in args)
+            pairs = (arg.split(":") for arg in args)
+            return PiecewiseLinearSpec.linear((int(t), v) for t, v in pairs)
     except ValueError:  # a number that does not parse, or an entry that is no t:v pair
         pass
     raise ValueError(f"expected const(v) or linear(t:v, ...), got {value!r}")

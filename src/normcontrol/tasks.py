@@ -59,7 +59,7 @@ def mlp_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, in_dim: int, 
     """MSE loss of an in_dim -> tanh(hidden) -> 1 network, with exact backprop.
 
     theta packs [W1 (hidden x in_dim), b1, W2 (1 x hidden), b2] row-major.
-    loss = 0.5 * mean((pred - y)^2).
+    loss = 0.5 * mean((pred - y)^2). grad is a new array in theta's layout.
     """
     n_w1 = hidden * in_dim
     expected = n_w1 + hidden + hidden + 1
@@ -67,24 +67,30 @@ def mlp_loss_grad(theta: np.ndarray, X: np.ndarray, y: np.ndarray, in_dim: int, 
         raise ValueError(f"theta has {theta.shape[0]} elements, layout needs {expected}")
     if X.shape[1] != in_dim:
         raise ValueError(f"feature dim {X.shape[1]} != in_dim {in_dim}")
+    if X.shape[0] == 0:
+        raise ValueError("empty batch")
     W1 = theta[:n_w1].reshape(hidden, in_dim)
     b1 = theta[n_w1 : n_w1 + hidden]
     W2 = theta[n_w1 + hidden : n_w1 + 2 * hidden].reshape(1, hidden)
     b2 = theta[n_w1 + 2 * hidden :]
 
     batch = X.shape[0]
-    hid = np.tanh(X @ W1.T + b1)
-    pred = hid @ W2.T + b2
-    diff = pred - y.reshape(batch, 1)
-    loss = 0.5 * float(np.mean(diff * diff))
+    hid = X @ W1.T
+    hid += b1
+    np.tanh(hid, out=hid)
+    diff = hid @ W2.T
+    diff += b2
+    diff -= y.reshape(batch, 1)
+    loss = 0.5 * (float(np.add.reduce(diff * diff, axis=None)) / batch)  # np.mean's bits
 
+    grad = np.empty(expected)  # each piece is written into its place
     d_pred = diff / batch
-    g_w2 = d_pred.T @ hid
-    g_b2 = d_pred.sum(axis=0)
-    d_hid = (d_pred @ W2) * (1.0 - hid * hid)
-    g_w1 = d_hid.T @ X
-    g_b1 = d_hid.sum(axis=0)
-    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    np.matmul(d_pred.T, hid, out=grad[n_w1 + hidden : n_w1 + 2 * hidden].reshape(1, hidden))
+    np.add.reduce(d_pred, axis=0, out=grad[n_w1 + 2 * hidden :])
+    d_hid = d_pred @ W2
+    d_hid *= np.subtract(1.0, np.multiply(hid, hid, out=hid), out=hid)
+    np.matmul(d_hid.T, X, out=grad[:n_w1].reshape(hidden, in_dim))
+    np.add.reduce(d_hid, axis=0, out=grad[n_w1 : n_w1 + hidden])
     return loss, grad
 
 

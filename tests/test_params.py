@@ -267,3 +267,120 @@ def test_certified_norm_buffers_fit_the_store():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, f"controlled_norm peaked at {peak} bytes for {n} elements"
+
+
+def _norm_and_path(store: ParamStore, monkeypatch) -> tuple[float, str]:
+    """store.controlled_norm() and the path that gave it: "screen" when the
+    small-store screen returned sqrt(fsum) of the unscaled squares, else "scaled"."""
+    calls = []
+    real = params._max_abs
+    monkeypatch.setattr(params, "_max_abs", lambda views: calls.append(1) or real(views))
+    value = store.controlled_norm()
+    monkeypatch.setattr(params, "_max_abs", real)
+    return value, "scaled" if calls else "screen"
+
+
+def _small_stores(x: np.ndarray) -> list[ParamStore]:
+    """x as the controlled elements of a one-slice store and of a multi-slice one
+    (an empty controlled group first, then x's halves around an uncontrolled group)."""
+    half = x.size // 2
+    one = ParamStore(np.concatenate([[7.0], x, [7.0]]),
+                     [ParamGroup("u", 0, 1, False), ParamGroup("w", 1, x.size),
+                      ParamGroup("v", x.size + 1, 1, False)])
+    many = ParamStore(np.concatenate([x[:half], [1e300], x[half:]]),
+                      [ParamGroup("e", 0, 0), ParamGroup("w1", 0, half),
+                       ParamGroup("u", half, 1, False), ParamGroup("w2", half + 1, x.size - half)])
+    assert isinstance(one._gather, slice) and isinstance(many._gather, np.ndarray)
+    return [one, many]
+
+
+def _above(v: float) -> float:
+    return math.nextafter(v, math.inf)
+
+
+def _below(v: float) -> float:
+    return math.nextafter(v, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, params._EXACT_CUTOFF - 1])
+def test_the_small_store_screen_at_each_threshold(n, monkeypatch):
+    # The screen passes when m = min fl(x**2) >= 2**-1021, r = fsum of them
+    # <= 2**1000 and r <= 2**1018 * m. Each pair sits on and just past one bound.
+    lo = math.sqrt(2.0 ** -1021)  # the least double whose square rounds to >= 2**-1021
+    while _below(lo) * _below(lo) >= 2.0 ** -1021:
+        lo = _below(lo)
+    while lo * lo < 2.0 ** -1021:
+        lo = _above(lo)
+    cases = [  # (x[0], every other element, the path)
+        (lo, lo, "screen"), (_below(lo), _below(lo), "scaled"),  # m against 2**-1021
+        # r = 2**1000 + (n - 1) rounds to 2**1000
+        (2.0 ** 500, 1.0, "screen"), (_above(2.0 ** 500), 1.0, "scaled"),
+    ]
+    if n > 1:  # r = 1 + (n - 1) * m rounds to 1, so m = 2**-1018 is the least that passes
+        cases += [(1.0, 2.0 ** -509, "screen"), (1.0, _below(2.0 ** -509), "scaled")]
+    for top, rest, want in cases:
+        x = np.full(n, rest)
+        x[0] = top
+        for store in _small_stores(x):
+            assert _norm_and_path(store, monkeypatch) == (_fsum_norm(x), want), (top, rest)
+
+
+def test_the_screen_bounds_the_spread_not_only_each_end(monkeypatch):
+    # fl(a**2) = 1.125 * 2**999 and 2**946 is half its last place: a tie,
+    # which fsum rounds to even, down. The tiny element's square, 2**-1020,
+    # breaks the tie upward in the unscaled sum, but scaled by 2**-500 it
+    # underflows to 0, so the formula's value is a tie rounded down: sqrt of
+    # the unscaled sum is one place too high. m and r pass the screen's ends.
+    x = np.array([1.5 * 2.0 ** 499, 2.0 ** 473, 2.0 ** -510])
+    assert math.sqrt(math.fsum((x * x).tolist())) == math.nextafter(_fsum_norm(x), math.inf)
+    for store in _small_stores(x):
+        assert _norm_and_path(store, monkeypatch) == (_fsum_norm(x), "scaled")
+
+
+@pytest.mark.parametrize("n", [1, params._EXACT_CUTOFF - 1])
+def test_zeros_subnormals_and_non_finite_values_take_the_scaled_path(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    for special in (0.0, -0.0, 5e-324, 2.0 ** -1030, 1e-300, math.inf, -math.inf, math.nan):
+        x = rng.uniform(0.5, 2.0, n)
+        x[int(rng.integers(n))] = special
+        want = _fsum_norm(x)
+        for store in _small_stores(x):
+            got, path = _norm_and_path(store, monkeypatch)
+            assert got == want or (math.isnan(got) and math.isnan(want)), special
+            assert path == "scaled", special
+    for store in _small_stores(rng.uniform(0.5, 2.0, n)):
+        assert _norm_and_path(store, monkeypatch)[1] == "screen"
+
+
+@pytest.mark.parametrize("n", [1, params._EXACT_CUTOFF - 1])
+def test_the_screen_agrees_with_the_formula_at_every_magnitude(n, monkeypatch):
+    rng = np.random.default_rng(100 + n)
+    paths = set()
+    for magnitude in (1e-320, 1e-300, 1e-160, 1e-150, 1e-5, 1.0, 1e5, 1e150, 1e160, 1e300):
+        for spread in (0.0, 3.0, 30.0):
+            with np.errstate(over="ignore", under="ignore"):
+                x = rng.normal(size=n) * 10.0 ** rng.uniform(-spread, spread, n) * magnitude
+            for store in _small_stores(x):
+                got, path = _norm_and_path(store, monkeypatch)
+                assert got == _fsum_norm(x), (magnitude, spread)
+                paths.add(path)
+    assert paths == {"screen", "scaled"}
+
+
+def test_a_large_store_builds_no_gather_index():
+    # 10 controlled groups of 10**5 elements, uncontrolled groups between:
+    # construction allocates theta's copy and the norm's block buffers only.
+    n, k = 10 ** 5, 10
+    groups, offset = [], 0
+    for i in range(k):
+        groups += [ParamGroup(f"w{i}", offset, n), ParamGroup(f"u{i}", offset + n, 3, False)]
+        offset += n + 3
+    theta = np.random.default_rng(9).normal(size=offset)
+    tracemalloc.start()
+    try:
+        store = ParamStore(theta, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store._gather is None
+    assert peak < theta.nbytes + 2 * 1024 * 1024, f"building the store peaked at {peak} bytes"

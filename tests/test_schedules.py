@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,6 +187,31 @@ class TestParse:
         with pytest.raises(ConfigError) as e:
             ScheduleSpec(**fields)
         assert str(e.value) == message
+
+    def test_breakpoint_steps_built_in_code_must_be_integers(self):
+        # linear() used to truncate 2.5 to 2, and a spec built directly
+        # interpolated toward t = 2.5 (rt_at(2) was 1.8).
+        assert PiecewiseLinearSpec.linear([(0, 1.0), (2.5, 2.0)]).points[1][0] == 2.5
+        for key in ("rt", "kt"):
+            for t in (2.5, 2.0, True, "2"):
+                for spec in (PiecewiseLinearSpec.linear([(0, 0.5), (t, 0.75)]),
+                             PiecewiseLinearSpec(((0, 0.5), (t, 0.75)))):
+                    with pytest.raises(ConfigError) as e:
+                        ScheduleSpec(horizon=10, **{key: spec})
+                    assert str(e.value) == f"{key}: breakpoint step must be an integer, got {t!r}"
+            with pytest.raises(ConfigError) as e:
+                ScheduleSpec(horizon=10, **{key: PiecewiseLinearSpec(((0.0, 0.5),))})
+            assert str(e.value) == f"{key}: breakpoint step must be an integer, got 0.0"
+        with pytest.raises(ConfigError, match="^line 2: rt: expected const"):
+            parse_schedule_spec("T = 10\nrt = linear(0:1.0, 2.5:2.0)\n")
+        # numpy integers are integers: linear() stores them as ints.
+        spec = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.linear(
+            [(np.int64(0), 1.0), (np.int32(4), 2.0)]))
+        assert [type(t) for t, _ in spec.rt.points] == [int, int]
+        assert spec.rt_at(2) == 1.5
+        direct = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec(
+            ((np.int64(0), 1.0), (np.int64(4), 2.0))))
+        assert direct.rt_at(2) == 1.5
 
     def test_target_mode_is_an_unknown_key(self, tmp_path, capsys):
         # The norm target is always r_t * ||theta_0||; no key chooses another.

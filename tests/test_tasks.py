@@ -131,6 +131,12 @@ class TestMlp:
             mlp_loss_grad(np.zeros(3 * 2 + 2 + 2 + 1), np.ones((2, 4)), np.zeros(2),
                           in_dim=3, hidden=2)
 
+    def test_empty_batch_rejected(self):
+        # It used to return a NaN loss and a zero gradient, with a RuntimeWarning.
+        with pytest.raises(ValueError, match="^empty batch$"):
+            mlp_loss_grad(np.zeros(3 * 2 + 2 + 2 + 1), np.zeros((0, 3)), np.zeros(0),
+                          in_dim=3, hidden=2)
+
     def test_group_layout_and_bias_control(self):
         rng = np.random.default_rng(0)
         task = MlpTask(3, 4, rng, control_biases=False)
@@ -138,6 +144,60 @@ class TestMlp:
         assert flags == {"w1": True, "b1": False, "w2": True, "b2": False}
         task_cb = MlpTask(3, 4, np.random.default_rng(0), control_biases=True)
         assert all(g.controlled for g in task_cb.groups)
+
+    @staticmethod
+    def reference_loss_grad(theta, X, y, in_dim, hidden):
+        """mlp_loss_grad as it was before its gradient went into one buffer, verbatim."""
+        n_w1 = hidden * in_dim
+        W1 = theta[:n_w1].reshape(hidden, in_dim)
+        b1 = theta[n_w1 : n_w1 + hidden]
+        W2 = theta[n_w1 + hidden : n_w1 + 2 * hidden].reshape(1, hidden)
+        b2 = theta[n_w1 + 2 * hidden :]
+
+        batch = X.shape[0]
+        hid = np.tanh(X @ W1.T + b1)
+        pred = hid @ W2.T + b2
+        diff = pred - y.reshape(batch, 1)
+        loss = 0.5 * float(np.mean(diff * diff))
+
+        d_pred = diff / batch
+        g_w2 = d_pred.T @ hid
+        g_b2 = d_pred.sum(axis=0)
+        d_hid = (d_pred @ W2) * (1.0 - hid * hid)
+        g_w1 = d_hid.T @ X
+        g_b1 = d_hid.sum(axis=0)
+        grad = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+        return loss, grad
+
+    def test_bitwise_equal_to_the_reference_over_random_shapes(self):
+        rng = np.random.default_rng(17)
+        sizes = (1, 2, 3, 8, 16, 33)
+        for case in range(300):
+            in_dim, hidden, batch = (int(rng.choice(sizes)) for _ in range(3))
+            if case < 8:  # every combination of the size-1 edges
+                in_dim, hidden, batch = (1 if case >> k & 1 else 5 for k in range(3))
+            theta, X, y = (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 2) for shape in
+                           ((hidden * in_dim + 2 * hidden + 1,), (batch, in_dim), (batch,)))
+            want = self.reference_loss_grad(theta, X, y, in_dim, hidden)
+            got = mlp_loss_grad(theta, X, y, in_dim, hidden)
+            assert got[0] == want[0], (in_dim, hidden, batch)
+            assert got[1].tobytes() == want[1].tobytes(), (in_dim, hidden, batch)
+
+    def test_inputs_are_read_only_and_every_grad_is_new(self):
+        rng = np.random.default_rng(18)
+        task = MlpTask(4, 6, rng)
+        theta = task.init_theta(rng) + rng.normal(size=4 * 6 + 13)
+        X, y = task.sample_batch(rng, 9)
+        copies = [a.copy() for a in (theta, X, y)]
+        for a in (theta, X, y):
+            a.flags.writeable = False  # a write into an input raises
+        _, first = mlp_loss_grad(theta, X, y, 4, 6)
+        kept = first.copy()
+        _, second = mlp_loss_grad(theta, X[::-1].copy(), y[::-1].copy(), 4, 6)
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+        for a, before in zip((theta, X, y), copies):
+            assert a.tobytes() == before.tobytes()
 
 
 class TestFiniteDiff:
