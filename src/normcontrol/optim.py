@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,8 +35,8 @@ from .schedules import ConfigError
 # Below this, the controlled vector is treated as zero: any multiple of it is
 # itself, so a norm target > 0 is unreachable and the update is skipped.
 ZERO_NORM_EPS = 1e-30
-# Elements per part of a step's Adam half: the g, m, v, scratch and theta rows
-# of one part (5 x 256 KB) stay in a 2 MB L2 through its 14 array operations.
+# Elements per part of a step's Adam half: a part's g, m, v and theta rows and
+# its m_hat and v_hat (6 x 256 KB) stay in a 2 MB L2 through its 14 array operations.
 _CHUNK = 1 << 15
 
 
@@ -87,22 +87,15 @@ class OptimizerConfig:
 
 @dataclass(eq=False)  # arrays have no truth value, so == is identity
 class OptimizerState:
-    """Step counter and first/second moment vectors (same shape as theta).
-
-    ``scratch`` holds two more vectors, the rows of one block made here,
-    that a step uses for its full-size intermediates (m_hat and v_hat, or
-    SGD's alpha * g), so a step allocates no array of theta's size.
-    """
+    """Step counter and first/second moment vectors (same shape as theta)."""
 
     t: int
     m: np.ndarray
     v: np.ndarray
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.m.shape != self.v.shape:
             raise ValueError(f"moment shapes differ: m {self.m.shape}, v {self.v.shape}")
-        self.scratch = tuple(np.empty((2,) + self.m.shape))
 
     @classmethod
     def zeros(cls, n: int) -> "OptimizerState":
@@ -127,12 +120,11 @@ def adam_moment_update(
     Expects state.t already incremented for the current step. At t == 1 the
     correction cancels algebraically (m = (1-b1)g, divisor 1-b1), so the
     divide is skipped to keep m_hat == g and v_hat == g*g bitwise. The
-    returned arrays are ``state.scratch``, which also holds the
-    (1-b1)g and (1-b2)g*g terms on the way; they are valid until the next
-    step with this state. Nothing is allocated.
+    returned arrays are new float64 arrays, whatever g's dtype, which also
+    hold the (1-b1)g and (1-b2)g*g terms on the way.
 
     ``part``, a slice of the flat vector, limits the update to those elements
-    and returns the scratch rows' views of them; the arithmetic is
+    and returns m_hat and v_hat of that part's size; the arithmetic is
     elementwise, so updating the parts of a vector one by one gives the bits
     of one whole-vector call. Parts exist so that ``step`` can run this and
     ``adam_param_update`` on one part of at most ``_CHUNK`` elements before
@@ -143,14 +135,12 @@ def adam_moment_update(
     if g.shape != state.m.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
     m, v = state.m, state.v
-    m_hat, v_hat = state.scratch
     if part is not None:
         g, m, v = g[part], m[part], v[part]
-        m_hat, v_hat = m_hat[part], v_hat[part]
-    np.multiply(g, 1.0 - cfg.beta1, out=m_hat)
+    m_hat = (g * (1.0 - cfg.beta1)).astype(float, copy=False)
     m *= cfg.beta1
     m += m_hat
-    np.multiply(g, g, out=v_hat)
+    v_hat = (g * g).astype(float, copy=False)
     v_hat *= 1.0 - cfg.beta2
     v *= cfg.beta2
     v += v_hat
@@ -234,20 +224,19 @@ def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
     return factor
 
 
-def sgd_step_coupled_decay(
-    store: ParamStore, g: np.ndarray, alpha: float, weight_decay: float,
-    out: np.ndarray | None = None,
-) -> float:
+def sgd_step_coupled_decay(store: ParamStore, g: np.ndarray, alpha: float,
+                           weight_decay: float) -> float:
     """One fused SGD step theta = (1 - lam) * theta - alpha * g.
 
     The decay (norm control at r_t = 0, k_t = lam) applies to controlled
-    groups, rounding as the fused formula. ``alpha * g`` is formed in ``out``
-    when given (a fresh array otherwise). Returns the decay factor, 1 - lam.
+    groups, rounding as the fused formula. ``alpha * g`` is formed one part
+    of at most ``_CHUNK`` elements at a time. Returns the decay factor, 1 - lam.
     """
     if g.shape != store.theta.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape {store.theta.shape}")
     factor = regularize_norm_control(store, 0.0, weight_decay)
-    store.theta -= np.multiply(alpha, g, out=out)
+    for i in range(0, g.size, _CHUNK):
+        store.theta[i:i + _CHUNK] -= alpha * g[i:i + _CHUNK]
     return factor
 
 
@@ -290,7 +279,7 @@ def step(
 
     if cfg.variant is Variant.COUPLED_SGD:
         # Fused decay + gradient step; no moments.
-        scale = sgd_step_coupled_decay(store, g, cfg.alpha, k_t, out=state.scratch[0])
+        scale = sgd_step_coupled_decay(store, g, cfg.alpha, k_t)
     else:
         # Above _CHUNK elements, the Adam half runs part by part (see adam_moment_update).
         parts = ((None,) if g.size <= _CHUNK

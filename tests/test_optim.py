@@ -525,17 +525,17 @@ def test_states_stepped_in_turn_match_each_run_alone():
             assert np.array_equal(got, ref)
 
 
-def test_a_state_built_from_its_fields_gets_its_own_scratch():
-    n = 7
-    first = OptimizerState.zeros(n)
-    copy = OptimizerState(first.t, first.m.copy(), first.v.copy())
-    for state in (first, copy):
-        assert [row.shape for row in state.scratch] == [(n,), (n,)]
-        assert not np.shares_memory(*state.scratch)
-        for row in state.scratch:
-            assert not np.shares_memory(row, state.m) and not np.shares_memory(row, state.v)
-    for row in first.scratch:
-        assert not any(np.shares_memory(row, other) for other in copy.scratch)
+def test_a_state_holds_two_vectors_of_thetas_size():
+    # m and v, 8 MB each for 10**6 elements; nothing else of that size.
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        state = OptimizerState.zeros(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.m.nbytes + state.v.nbytes == 16 * 10 ** 6
+    assert peak < 16 * 10 ** 6 + 64 * 1024, f"zeros({n}) peaked at {peak} bytes"
 
 
 def test_state_equality_is_identity():

@@ -350,6 +350,10 @@ def test_zeros_subnormals_and_non_finite_values_take_the_scaled_path(n, monkeypa
             assert path == "scaled", special
     for store in _small_stores(rng.uniform(0.5, 2.0, n)):
         assert _norm_and_path(store, monkeypatch)[1] == "screen"
+    x = np.array([1e154, 1e154])  # every square is finite, but fsum of them overflows
+    for store in _small_stores(x):
+        assert _norm_and_path(store, monkeypatch) == (_fsum_norm(x), "scaled")
+    assert _fsum_norm(x) == 1.414213562373095e+154
 
 
 @pytest.mark.parametrize("n", [1, params._EXACT_CUTOFF - 1])

@@ -216,6 +216,12 @@ class TestFiniteDiff:
         err = finite_diff_check(task, theta, batch, h=1e-5, max_coords=50,
                                 rng=np.random.default_rng(1))
         assert err <= 1e-9
+        # Without an rng, the subset is drawn from a fresh default_rng(0) on every call.
+        seeded = finite_diff_check(task, theta, batch, h=1e-5, max_coords=50,
+                                   rng=np.random.default_rng(0))
+        assert seeded != err
+        for _ in range(2):
+            assert finite_diff_check(task, theta, batch, h=1e-5, max_coords=50) == seeded
 
     def test_a_nan_gradient_coordinate_gives_a_nan_error(self):
         rng = np.random.default_rng(9)
