@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("check-grad", help="check analytic gradients and core properties")
     p_grad.add_argument("--task", required=True, choices=list(tasks.TASK_NAMES) + ["all"])
-    p_grad.add_argument("--seed", type=int, default=RunConfig.seed)
+    p_grad.add_argument("--seed", type=_int_at_least(0), default=RunConfig.seed)
     p_grad.add_argument("--dim", type=_int_at_least(1), default=RunConfig.dim)
     p_grad.add_argument("--hidden", type=_int_at_least(1), default=RunConfig.hidden)
     p_grad.add_argument("--properties", type=_int_at_least(0), default=0, metavar="CASES",

@@ -184,12 +184,14 @@ def _logged_rows(config: RunConfig, task, store: ParamStore, rng):
     Logs every eval_every steps and at the final step; the controlled norm
     is measured for those rows only. Any component error, or a non-finite
     loss or gradient, aborts with the failing step index before the
-    optimizer sees that step's gradient.
+    optimizer sees that step's gradient; a logged row with a non-finite
+    value aborts before it is yielded.
     """
     state = OptimizerState.zeros(store.theta.size)
     sched = config.schedules
     batches = task.batches(rng, config.batch_size, sched.horizon)
     for t in range(1, sched.horizon + 1):
+        logged = t % config.eval_every == 0 or t == sched.horizon
         try:
             batch = next(batches)
             train_loss, g = task.loss_and_grad(store.theta, batch)
@@ -198,23 +200,19 @@ def _logged_rows(config: RunConfig, task, store: ParamStore, rng):
             if not np.isfinite(g).all():
                 raise FloatingPointError("non-finite gradient")
             report = optim.step(store, state, g, t, sched, config.optimizer)
+            if logged:
+                val_loss, _ = task.loss_and_grad(store.theta, task.val_batch())
+                norm = store.controlled_norm()
+                row = TraceRow(t, train_loss, val_loss, report.eta_t, report.r_t, report.k_t,
+                               report.target_norm, norm, norm / store.initial_norm,
+                               float(np.linalg.norm(g)))
+                for name, value in vars(row).items():
+                    if not math.isfinite(value):
+                        raise FloatingPointError(f"non-finite {name} {value}")
         except Exception as e:
             raise RuntimeError(f"run aborted at step {t}: {e}") from e
-        if t % config.eval_every == 0 or t == sched.horizon:
-            val_loss, _ = task.loss_and_grad(store.theta, task.val_batch())
-            norm = store.controlled_norm()
-            yield TraceRow(
-                t=t,
-                train_loss=train_loss,
-                val_loss=val_loss,
-                eta_t=report.eta_t,
-                r_t=report.r_t,
-                k_t=report.k_t,
-                target_norm=report.target_norm,
-                actual_norm=norm,
-                norm_ratio=norm / store.initial_norm,
-                grad_norm=float(np.linalg.norm(g)),
-            )
+        if logged:
+            yield row
 
 
 def _rt_breakpoints(reference_rows):

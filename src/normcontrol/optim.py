@@ -113,66 +113,46 @@ class StepReport:
 
 
 def adam_moment_update(
-    state: OptimizerState, g: np.ndarray, cfg: OptimizerConfig, part: slice | None = None,
+    m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, cfg: OptimizerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Update the moment vectors in place and return bias-corrected m_hat, v_hat.
+    """Update the moments m and v in place for step t; return bias-corrected m_hat, v_hat.
 
-    Expects state.t already incremented for the current step. At t == 1 the
+    m, v and g are float64 arrays of one shape, and t >= 1. At t == 1 the
     correction cancels algebraically (m = (1-b1)g, divisor 1-b1), so the
     divide is skipped to keep m_hat == g and v_hat == g*g bitwise. The
-    returned arrays are new float64 arrays, whatever g's dtype, which also
-    hold the (1-b1)g and (1-b2)g*g terms on the way.
-
-    ``part``, a slice of the flat vector, limits the update to those elements
-    and returns m_hat and v_hat of that part's size; the arithmetic is
-    elementwise, so updating the parts of a vector one by one gives the bits
-    of one whole-vector call. Parts exist so that ``step`` can run this and
-    ``adam_param_update`` on one part of at most ``_CHUNK`` elements before
-    the next, while that part's rows are still in L2.
+    returned arrays are new, and also hold the (1-b1)g and (1-b2)g*g terms
+    on the way.
     """
-    if state.t < 1:
-        raise ValueError("state.t must be incremented before the moment update")
-    if g.shape != state.m.shape:
-        raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}")
-    m, v = state.m, state.v
-    if part is not None:
-        g, m, v = g[part], m[part], v[part]
-    m_hat = (g * (1.0 - cfg.beta1)).astype(float, copy=False)
+    if t < 1:
+        raise ValueError(f"t must be >= 1, incremented for the current step, got {t}")
+    if g.shape != m.shape or v.shape != m.shape:
+        raise ValueError(f"gradient shape {g.shape} != moment shapes {m.shape}, {v.shape}")
+    m_hat = g * (1.0 - cfg.beta1)
     m *= cfg.beta1
     m += m_hat
-    v_hat = (g * g).astype(float, copy=False)
+    v_hat = g * g
     v_hat *= 1.0 - cfg.beta2
     v *= cfg.beta2
     v += v_hat
-    if state.t == 1:
+    if t == 1:
         m_hat[...] = g
         np.multiply(g, g, out=v_hat)
     else:
-        np.divide(m, 1.0 - cfg.beta1**state.t, out=m_hat)
-        np.divide(v, 1.0 - cfg.beta2**state.t, out=v_hat)
+        np.divide(m, 1.0 - cfg.beta1**t, out=m_hat)
+        np.divide(v, 1.0 - cfg.beta2**t, out=v_hat)
     return m_hat, v_hat
 
 
 def adam_param_update(
-    store: ParamStore,
-    m_hat: np.ndarray,
-    v_hat: np.ndarray,
-    eta_t: float,
-    cfg: OptimizerConfig,
-    part: slice | None = None,
+    theta: np.ndarray, m_hat: np.ndarray, v_hat: np.ndarray, eta_t: float, cfg: OptimizerConfig,
 ) -> None:
-    """theta -= eta_t * alpha * m_hat / (sqrt(v_hat) + eps), on all groups.
+    """theta -= eta_t * alpha * m_hat / (sqrt(v_hat) + eps), in place.
 
-    Works in place on the m_hat and v_hat it is given, which hold
-    temporaries afterwards; the order of operations is that of the formula.
-    With ``part``, a slice of the flat vector, only ``theta[part]`` is
-    updated, from the m_hat and v_hat of that part as ``adam_moment_update``
-    returns them; ``step`` calls the two on one part of at most ``_CHUNK``
-    elements, then on the next, so the part's rows are still in L2 here.
+    theta, m_hat and v_hat are float64 arrays of one shape. Works in place on
+    the m_hat and v_hat it is given, which hold temporaries afterwards; the
+    order of operations is that of the formula.
     """
-    theta = store.theta if part is None else store.theta[part]
-    shape = theta.shape
-    if m_hat.shape != shape or v_hat.shape != shape:
+    if m_hat.shape != theta.shape or v_hat.shape != theta.shape:
         raise ValueError("moment shapes do not match parameter vector")
     m_hat *= eta_t * cfg.alpha
     np.sqrt(v_hat, out=v_hat)
@@ -265,8 +245,11 @@ def step(
 
     ``sched`` is anything with eta_at/rt_at/kt_at methods, normally a
     ScheduleSpec; only norm control reads rt_at/kt_at, and only norm control
-    with r_t > 0 measures the controlled norm (once).
+    with r_t > 0 measures the controlled norm (once). A gradient that is not
+    float64 is converted once, so the step's arithmetic is float64.
     """
+    if g.dtype != np.float64:
+        g = g.astype(np.float64, casting="same_kind")  # a complex gradient raises here
     if t != state.t + 1:
         raise ValueError(f"step index {t} not consecutive with state.t={state.t}")
     if not g.shape == state.m.shape == store.theta.shape:
@@ -281,13 +264,19 @@ def step(
         # Fused decay + gradient step; no moments.
         scale = sgd_step_coupled_decay(store, g, cfg.alpha, k_t)
     else:
-        # Above _CHUNK elements, the Adam half runs part by part (see adam_moment_update).
-        parts = ((None,) if g.size <= _CHUNK
-                 else (slice(i, i + _CHUNK) for i in range(0, g.size, _CHUNK)))
-        for part in parts:
-            m_hat, v_hat = adam_moment_update(state, g, cfg, part)
-            adam_param_update(store, m_hat, v_hat, eta_t, cfg, part)
-        del parts, part, m_hat, v_hat  # a part's views would be held through the norm's peak
+        # Above _CHUNK elements, the Adam half runs on one part's views after another, so
+        # each part's rows are still in L2 for its parameter update. The kernels are
+        # elementwise: the parts give the bits of one whole-vector call.
+        theta, m, v = store.theta, state.m, state.v
+        if g.size <= _CHUNK:
+            m_hat, v_hat = adam_moment_update(m, v, g, t, cfg)
+            adam_param_update(theta, m_hat, v_hat, eta_t, cfg)
+        else:
+            for i in range(0, g.size, _CHUNK):
+                m_hat, v_hat = adam_moment_update(m[i:i + _CHUNK], v[i:i + _CHUNK],
+                                                  g[i:i + _CHUNK], t, cfg)
+                adam_param_update(theta[i:i + _CHUNK], m_hat, v_hat, eta_t, cfg)
+        del m_hat, v_hat  # else held through the norm's peak
         scale = 1.0 if cfg.variant is Variant.NONE else regularize_norm_control(store, r_t, k_t)
 
     # Positional arguments: keywords make a small store's step measurably slower.

@@ -20,6 +20,8 @@ VAL_POOL = 256
 # Row indices per rng.integers call in batches(): a block holds
 # max(1, _DRAW // batch_size) steps, 64 KB of indices.
 _DRAW = 1 << 13
+# finite_diff_check checks a random subset of this many coordinates of a larger theta.
+_MAX_COORDS = 200
 
 
 def quadratic_loss_grad(theta: np.ndarray, a_diag: np.ndarray, b: np.ndarray):
@@ -227,10 +229,10 @@ def build_task(name: str, dim: int, hidden: int, rng: np.random.Generator,
 
 
 def finite_diff_check(task, theta: np.ndarray, batch, h: float = 1e-5,
-                      max_coords: int = 200, rng: np.random.Generator | None = None) -> float:
+                      rng: np.random.Generator | None = None) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
-    For dim > max_coords a seeded random coordinate subset is checked; a
+    For dim > _MAX_COORDS a seeded random coordinate subset is checked; a
     non-finite analytic entry gives NaN, whether or not it is sampled.
     Relative error per coordinate uses max(1, |analytic|, |numeric|) as the
     denominator so tiny gradient entries are judged on absolute error.
@@ -241,14 +243,14 @@ def finite_diff_check(task, theta: np.ndarray, batch, h: float = 1e-5,
     if not np.isfinite(grad).all():
         return math.nan  # a non-finite entry fails the check, sampled or not
     dim = theta.shape[0]
-    if dim > max_coords:
+    if dim > _MAX_COORDS:
         if rng is None:
             rng = np.random.default_rng(0)
-        coords = rng.choice(dim, size=max_coords, replace=False)
+        coords = rng.choice(dim, size=_MAX_COORDS, replace=False)
     else:
         coords = np.arange(dim)
     errors = []
-    probe = theta.astype(float).copy()
+    probe = theta.astype(float)  # a copy
     for i in coords:
         orig = probe[i]
         probe[i] = orig + h

@@ -140,7 +140,8 @@ def test_decay_rate_error_names_the_rate_and_its_formula(variant, lam, extra, ra
     assert capsys.readouterr().err == f"error: line 9: lambda: decay rate {rate} is above 1\n"
 
 
-@pytest.mark.parametrize("args", [["--dim", "0"], ["--hidden", "0"], ["--properties", "-3"]])
+@pytest.mark.parametrize("args", [["--dim", "0"], ["--hidden", "0"], ["--properties", "-3"],
+                                  ["--seed", "-1"]])
 def test_check_grad_rejects_bad_sizes(args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-grad", "--task", "quadratic", *args])
@@ -329,6 +330,24 @@ def _shipped(name, **changes):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_run_with_a_non_finite_row_exits_3(tmp_path, capsys):
+    cfg, out = tmp_path / "inf.cfg", tmp_path / "x.csv"
+    cfg.write_text("task = quadratic\nvariant = none\nalpha = 1e308\nT = 1\n")
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric error: run aborted at step 1: non-finite val_loss inf\n")
+    assert not out.exists()
+
+
+def test_an_overflow_raised_as_an_error_in_the_val_loss_exits_3(tmp_path, capsys):
+    # Warnings are errors here, as under python -W error.
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("task = mlp\nvariant = none\nalpha = 1e308\nT = 1\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err.startswith("numeric error: run aborted at step 1: overflow")
+
+
 DIVERGING_A = {"lambda": "1e-301", "alpha": "1e300"}  # decay rate 0.1; loss inf at step 2
 DIVERGING_B = {"alpha": "1.7e308"}  # weights near the float max in step 1; loss nan at step 2
 
@@ -342,14 +361,19 @@ DIVERGING_B = {"alpha": "1.7e308"}  # weights near the float max in step 1; loss
     # a decay rate of exactly 1 takes A's norm to 0 at every step
     ({"variant": "decay_decoupled", "lambda": "1.0", "eta": "cosine(1.0, 1.0)"},
      {"eta": "cosine(1.0, 1.0)"}, 2, "error: reference norm ratio must be > 0, got 0.0 at t=50"),
-    # B stops at step 2 while A still has most of its 3,000 rows to send
+    # B stops at step 1, its first logged row, while A still has most of its 3,000 rows to send
     ({"eval_every": "1"}, {"eval_every": "1", **DIVERGING_B}, 3,
-     "numeric error: run aborted at step 2: non-finite training loss nan"),
-    # A's only step overflows its weights after a finite loss and gradient: its norm ratio is inf
+     "numeric error: run aborted at step 1: non-finite val_loss nan"),
+    # A's only step overflows its weights after a finite loss and gradient: its row is not finite
     ({"task": "quadratic", "variant": "coupled_sgd", "eta": None, "T": "1", "alpha": "1e308"},
-     {"task": "quadratic", "T": "1", "rt": "const(1.0)"}, 2, "error: rt: value inf is not finite"),
+     {"task": "quadratic", "T": "1", "rt": "const(1.0)"}, 3,
+     "numeric error: run aborted at step 1: non-finite val_loss nan"),
+    # decay rate 0.1; A's weights stay finite, but its val loss overflows
+    ({"task": "quadratic", "T": "1", "alpha": "1e308", "lambda": "1e-309"},
+     {"task": "quadratic", "T": "1", "rt": "const(1.0)"}, 3,
+     "numeric error: run aborted at step 1: non-finite val_loss inf"),
 ], ids=["A diverges", "B diverges", "both diverge", "A's norm reaches 0", "B stops early",
-        "A's last step overflows"])
+        "A's last step overflows", "A's val loss overflows"])
 def test_compare_reports_errors_as_a_sequential_run_does(tmp_path, capfd, a_changes,
                                                         b_changes, rc, line):
     import multiprocessing

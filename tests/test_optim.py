@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -48,14 +49,14 @@ class TestMomentUpdate:
     def test_first_step_m(self):
         state = OptimizerState.zeros(1)
         state.t = 1
-        m_hat, _ = adam_moment_update(state, np.array([1.0]), OptimizerConfig())
+        m_hat, _ = adam_moment_update(state.m, state.v, np.array([1.0]), state.t, OptimizerConfig())
         assert state.m[0] == pytest.approx(0.1, rel=1e-15)
         assert m_hat[0] == 1.0
 
     def test_first_step_v(self):
         state = OptimizerState.zeros(1)
         state.t = 1
-        _, v_hat = adam_moment_update(state, np.array([2.0]), OptimizerConfig())
+        _, v_hat = adam_moment_update(state.m, state.v, np.array([2.0]), state.t, OptimizerConfig())
         assert state.v[0] == pytest.approx(0.004, rel=1e-15)
         assert v_hat[0] == 4.0
 
@@ -65,22 +66,22 @@ class TestMomentUpdate:
         g = np.array([1.0])
         cfg = OptimizerConfig()
         state.t = 1
-        adam_moment_update(state, g, cfg)
+        adam_moment_update(state.m, state.v, g, state.t, cfg)
         state.t = 2
-        m_hat, _ = adam_moment_update(state, g, cfg)
+        m_hat, _ = adam_moment_update(state.m, state.v, g, state.t, cfg)
         assert state.m[0] == pytest.approx(0.19, rel=1e-15)
         assert m_hat[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_requires_incremented_t(self):
         state = OptimizerState.zeros(1)
         with pytest.raises(ValueError, match="incremented"):
-            adam_moment_update(state, np.array([1.0]), OptimizerConfig())
+            adam_moment_update(state.m, state.v, np.array([1.0]), state.t, OptimizerConfig())
 
     def test_shape_mismatch(self):
         state = OptimizerState.zeros(2)
         state.t = 1
         with pytest.raises(ValueError, match="shape"):
-            adam_moment_update(state, np.array([1.0]), OptimizerConfig())
+            adam_moment_update(state.m, state.v, np.array([1.0]), state.t, OptimizerConfig())
 
     def test_bias_correction_exact_for_random_gradients(self):
         rng = np.random.default_rng(3)
@@ -88,7 +89,7 @@ class TestMomentUpdate:
             g = rng.normal(size=8) * 10.0 ** rng.uniform(-3, 3)
             state = OptimizerState.zeros(8)
             state.t = 1
-            m_hat, v_hat = adam_moment_update(state, g, OptimizerConfig())
+            m_hat, v_hat = adam_moment_update(state.m, state.v, g, state.t, OptimizerConfig())
             assert np.array_equal(m_hat, g)
             assert np.array_equal(v_hat, g * g)
 
@@ -96,31 +97,31 @@ class TestMomentUpdate:
 class TestParamUpdate:
     def test_direct_substitution(self):
         store = one_group_store([0.0])
-        adam_param_update(store, np.array([1.0]), np.array([1.0]), 1.0, OptimizerConfig())
+        adam_param_update(store.theta, np.array([1.0]), np.array([1.0]), 1.0, OptimizerConfig())
         assert store.theta[0] == pytest.approx(-0.001 / (1.0 + 1e-8), rel=1e-15)
 
     def test_zero_gradient_leaves_theta(self):
         store = one_group_store([1.5, -2.5])
-        adam_param_update(store, np.zeros(2), np.ones(2), 1.0, OptimizerConfig())
+        adam_param_update(store.theta, np.zeros(2), np.ones(2), 1.0, OptimizerConfig())
         assert list(store.theta) == [1.5, -2.5]
 
     def test_scalar_evaluation(self):
         store = one_group_store([1.0])
-        adam_param_update(store, np.array([4.0]), np.array([4.0]), 0.5, OptimizerConfig())
+        adam_param_update(store.theta, np.array([4.0]), np.array([4.0]), 0.5, OptimizerConfig())
         expected = 1.0 - 0.5 * 0.001 * 4.0 / (2.0 + 1e-8)
         assert store.theta[0] == pytest.approx(expected, rel=1e-15)
         assert store.theta[0] == pytest.approx(0.999, abs=1e-5)
 
     def test_applies_to_uncontrolled_groups_too(self):
         store = mixed_store([1.0], [1.0])
-        adam_param_update(store, np.ones(2), np.ones(2), 1.0, OptimizerConfig())
+        adam_param_update(store.theta, np.ones(2), np.ones(2), 1.0, OptimizerConfig())
         assert store.theta[0] == store.theta[1]  # loss update never masked
 
     def test_shape_mismatch(self):
         store = one_group_store([1.0, 2.0])
         for m_hat, v_hat in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(1))):
             with pytest.raises(ValueError, match="^moment shapes do not match"):
-                adam_param_update(store, m_hat, v_hat, 1.0, OptimizerConfig())
+                adam_param_update(store.theta, m_hat, v_hat, 1.0, OptimizerConfig())
         assert list(store.theta) == [1.0, 2.0]
 
 
@@ -297,9 +298,36 @@ def test_step_variant_none_is_bare_adam():
     cfg = OptimizerConfig()
     for t in range(1, 51):
         state.t = t
-        m_hat, v_hat = adam_moment_update(state, grads[t - 1], cfg)
-        adam_param_update(store, m_hat, v_hat, base.eta_at(t), cfg)
+        m_hat, v_hat = adam_moment_update(state.m, state.v, grads[t - 1], state.t, cfg)
+        adam_param_update(store.theta, m_hat, v_hat, base.eta_at(t), cfg)
     assert np.array_equal(theta_none, store.theta)
+
+
+def test_an_integer_gradient_is_squared_in_float64():
+    # 2**32 squared wraps to 0 in int64; in float64 it is exactly 2**64.
+    store = one_group_store([1.0, 1.0])
+    state = OptimizerState.zeros(2)
+    cfg = OptimizerConfig()
+    step(store, state, np.array([2**32, 3]), 1, ScheduleSpec(horizon=10), cfg)
+    assert state.v[0] == (1.0 - cfg.beta2) * 2.0**64
+    assert np.all(np.abs(store.theta - 1.0) < 1.0)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_float32_gradient_steps_as_its_float64_conversion(variant):
+    rng = np.random.default_rng(20)
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(1.5))
+    cfg = OptimizerConfig(weight_decay=0.1, variant=variant)
+    for store in (mixed_store(rng.normal(size=6), rng.normal(size=3)), _chunked_store(rng)):
+        wide, wide_state = store.snapshot(), OptimizerState.zeros(store.theta.size)
+        state = OptimizerState.zeros(store.theta.size)
+        for t in (1, 2, 3):
+            g = (rng.normal(size=store.theta.size) * 3.0).astype(np.float32)
+            step(store, state, g, t, sched, cfg)
+            step(wide, wide_state, g.astype(np.float64), t, sched, cfg)
+        for got, want in zip((store.theta, state.m, state.v),
+                             (wide.theta, wide_state.m, wide_state.v)):
+            assert np.array_equal(got, want)
 
 
 def test_step_rejects_nonconsecutive_t():
@@ -508,9 +536,10 @@ def test_states_stepped_in_turn_match_each_run_alone():
         for t in range(1, steps + 1):
             for (_, state), _ in pairs:
                 state.t = t
-            moments = [adam_moment_update(state, grads[t - 1], cfg) for (_, state), cfg in pairs]
+            moments = [adam_moment_update(state.m, state.v, grads[t - 1], state.t, cfg)
+                       for (_, state), cfg in pairs]
             for ((store, _), cfg), (m_hat, v_hat) in zip(pairs, moments):
-                adam_param_update(store, m_hat, v_hat, 1.0, cfg)
+                adam_param_update(store.theta, m_hat, v_hat, 1.0, cfg)
 
     alone = []
     for cfg in cfgs:
@@ -576,6 +605,11 @@ def test_a_rejected_step_changes_nothing(variant):
         assert state.t == 1
         for got, want in zip((store.theta, state.m, state.v), before):
             assert np.array_equal(got, want)
+    with pytest.raises(TypeError, match="same_kind"):  # not cast to its real part
+        step(store, state, rng.normal(size=6) + 1j, 2, sched, good)
+    assert state.t == 1
+    for got, want in zip((store.theta, state.m, state.v), before):
+        assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="parameter shape"):  # a store that is not the state's
         step(one_group_store(np.ones(5)), state, rng.normal(size=6), 2, sched, good)
     assert state.t == 1
@@ -610,12 +644,20 @@ def test_chunked_step_is_the_whole_vector_sequence(variant):
         if variant is Variant.COUPLED_SGD:
             sgd_step_coupled_decay(ref, g, cfg.alpha, k_t)
         else:
-            adam_param_update(ref, *adam_moment_update(ref_state, g, cfg), eta_t, cfg)
+            m_hat, v_hat = adam_moment_update(ref_state.m, ref_state.v, g, t, cfg)
+            adam_param_update(ref.theta, m_hat, v_hat, eta_t, cfg)
             if variant is not Variant.NONE:
                 regularize_norm_control(ref, r_t, k_t)
         for got, want in zip((store.theta, state.m, state.v),
                              (ref.theta, ref_state.m, ref_state.v)):
             assert np.array_equal(got, want), (variant, t)
+    # A store of no elements has no part; it steps all the same.
+    empty, empty_state = ParamStore(np.zeros(0), []), OptimizerState.zeros(0)
+    for t in (1, 2, 3):
+        with (pytest.warns(RuntimeWarning, match="norm control skipped")
+              if variant is Variant.NORM_CONTROL else contextlib.nullcontext()):
+            step(empty, empty_state, np.zeros(0), t, sched, cfg)
+    assert empty_state.t == 3 and empty.theta.size == 0
 
 
 @pytest.mark.parametrize("n", [5, 2 * optim._CHUNK + 7])

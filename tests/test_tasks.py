@@ -208,20 +208,19 @@ class TestFiniteDiff:
         batch = task.sample_batch(rng, 8)
         assert finite_diff_check(task, theta, batch, h=1e-5) <= 1e-9
 
-    def test_coordinate_subsampling_for_large_dim(self):
+    def test_coordinate_subsampling_for_large_dim(self, monkeypatch):
+        monkeypatch.setattr(tasks, "_MAX_COORDS", 50)
         rng = np.random.default_rng(8)
         task = QuadraticTask(500, rng)
         theta = task.init_theta(rng)
         batch = task.sample_batch(rng, 8)
-        err = finite_diff_check(task, theta, batch, h=1e-5, max_coords=50,
-                                rng=np.random.default_rng(1))
+        err = finite_diff_check(task, theta, batch, h=1e-5, rng=np.random.default_rng(1))
         assert err <= 1e-9
         # Without an rng, the subset is drawn from a fresh default_rng(0) on every call.
-        seeded = finite_diff_check(task, theta, batch, h=1e-5, max_coords=50,
-                                   rng=np.random.default_rng(0))
+        seeded = finite_diff_check(task, theta, batch, h=1e-5, rng=np.random.default_rng(0))
         assert seeded != err
         for _ in range(2):
-            assert finite_diff_check(task, theta, batch, h=1e-5, max_coords=50) == seeded
+            assert finite_diff_check(task, theta, batch, h=1e-5) == seeded
 
     def test_a_nan_gradient_coordinate_gives_a_nan_error(self):
         rng = np.random.default_rng(9)
