@@ -63,6 +63,8 @@ class RunConfig:
                 raise ConfigError(name, f"must be a positive integer, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
+        if not isinstance(self.control_biases, (bool, np.bool_)):
+            raise ConfigError("control_biases", f"must be a bool, got {self.control_biases!r}")
         # The rate peaks at eta_max; a rate above 1 would flip the weights' signs.
         rate = self.optimizer.decay_rate(self.schedules.eta.eta_max)
         if rate > 1.0:

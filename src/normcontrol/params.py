@@ -14,8 +14,8 @@ from itertools import chain
 
 import numpy as np
 
-# Stores with fewer controlled elements than this try math.fsum over the
-# unscaled squares first, which is faster there than the certified sum.
+# Stores with fewer controlled elements than this sum their scaled squares
+# with math.fsum directly, which is faster there than the certified sum.
 _EXACT_CUTOFF = 1000
 # Elements per block of the certified sum: its transient memory is about two
 # blocks of float64, whatever the store size.
@@ -56,7 +56,8 @@ class ParamStore:
         groups: list[ParamGroup],
         initial_norm: float | None = None,
     ):
-        self.theta = np.array(theta, dtype=np.float64).ravel()
+        # A copy; complex or text theta raises rather than losing or parsing values.
+        self.theta = np.asarray(theta).astype(np.float64, casting="same_kind").ravel()
         self.groups = sorted(groups, key=lambda g: g.offset)
         _check_tiling(self.groups, self.theta.size)
         self.controlled_slices = [g.slice for g in self.groups if g.controlled]
@@ -84,20 +85,8 @@ class ParamStore:
         does not depend on blocking and is bit-reproducible; equality-style
         invariants rely on it.
 
-        Below ``_EXACT_CUTOFF`` elements, with m the least rounded square
-        fl(x_i**2) and r the fsum of them all, sqrt(r) is returned if
-        m >= 2**-1021, r <= 2**1000 and r <= 2**1018 * m: the value above,
-        bit for bit. Rounding is monotone, so each exact x_i**2 lies in
-        [m / (1 + u), r / (1 - u)] (u = 2**-53), inside the normal range, and
-        as 4**exp <= 4 * max x_i**2, each y_i**2 = x_i**2 / 4**exp is at
-        least 2**-1020 * (1 - u) / (1 + u), normal too. There rounding
-        commutes with a power-of-two scale: y_i is exact, fl(y_i**2) =
-        fl(x_i**2) / 4**exp, the two sums (normal: between their least term
-        and n times their largest) round to r and r / 4**exp, and sqrt
-        and ldexp give sqrt(r). A zero, NaN, inf, a subnormal square or an
-        element below about 2**-509 times the largest fails this screen.
-
-        Otherwise the scaled squares are summed blockwise in numpy with
+        Below ``_EXACT_CUTOFF`` elements that formula is what runs. From
+        there on the scaled squares are summed blockwise in numpy with
         TwoSum (see ``_certified_sum``): the exact sum T equals a short float
         sum X of partial sums and accumulated errors to within
         8 * 64 * n * u**2 * X (about 6.3e-30 * n * X). X is rounded and
@@ -107,21 +96,11 @@ class ParamStore:
         memory is about two blocks of ``_BLOCK`` floats.
         """
         if self._gather is not None:
-            x = self.theta[self._gather]
-            with np.errstate(over="ignore"):  # an inf square fails the screen
-                sq = x * x
-            lo2 = float(sq.min(initial=math.inf))
-            try:
-                r = math.fsum(sq.tolist()) if lo2 >= 2.0 ** -1021 else math.inf
-            except OverflowError:  # the squares sum past the largest double
-                r = math.inf
-            if r <= 2.0 ** 1000 and r <= lo2 * 2.0 ** 1018:
-                return math.sqrt(r)
-            views = [x]
+            y = np.abs(self.theta[self._gather])
+            biggest = float(y.max(initial=0.0))
         else:
             views = [self.theta[s] for s in self.controlled_slices]
-        n = sum(v.size for v in views)
-        biggest = _max_abs(views)
+            biggest = _max_abs(views)
         if biggest == 0.0:
             return 0.0
         if not math.isfinite(biggest):
@@ -130,10 +109,16 @@ class ParamStore:
         # y = x / 2**exp. 2**1024 is not a double, but 2**-1024 is, and x times
         # it rounds the same exact quotient.
         op, c = (np.multiply, 2.0 ** -1024) if exp > 1023 else (np.divide, math.ldexp(1.0, exp))
-        total = _certified_sum(_scaled_squares(views, op, c, n), n)
-        if total is None:
-            total = math.fsum(chain.from_iterable(
-                sq.tolist() for sq in _scaled_squares(views, op, c, n)))
+        if self._gather is not None:
+            op(y, c, out=y)
+            y *= y
+            total = math.fsum(y.tolist())
+        else:
+            n = sum(v.size for v in views)
+            total = _certified_sum(_scaled_squares(views, op, c, n), n)
+            if total is None:
+                total = math.fsum(chain.from_iterable(
+                    sq.tolist() for sq in _scaled_squares(views, op, c, n)))
         try:
             return math.ldexp(math.sqrt(total), exp)
         except OverflowError:

@@ -416,7 +416,7 @@ def _check_oracle_trajectory(rng: np.random.Generator) -> str | None:
     for i in range(dim):
         if not _close(float(store.theta[i]), oracle.theta[i], 1e-11):
             return (f"theta[{i}] drifted after {horizon} steps: "
-                    f"{store.theta[i]!r} vs {oracle.theta[i]!r}")
+                    f"{float(store.theta[i])!r} vs {oracle.theta[i]!r}")
     return None
 
 
@@ -442,7 +442,7 @@ def _decay_equivalence_check(rng: np.random.Generator, variant: Variant) -> str 
     for i in range(dim):
         if not _close(float(store_a.theta[i]), float(store_c.theta[i]), 1e-12):
             return (f"theta[{i}] differs after {horizon} steps: decay "
-                    f"{store_a.theta[i]!r} vs norm-control {store_c.theta[i]!r}")
+                    f"{float(store_a.theta[i])!r} vs norm-control {float(store_c.theta[i])!r}")
     return None
 
 

@@ -367,6 +367,15 @@ class TestParseRunConfig:
             RunConfig(task="mlp", schedules=ScheduleSpec(horizon=10), **{name: value})
         assert str(e.value) == f"{name}: must be an integer, got {value!r}"
 
+    @pytest.mark.parametrize("value", ["false", 2, 1.0, None])
+    def test_control_biases_built_in_code_must_be_a_bool(self, value):
+        # else a truthy "false" or 2 controls b1 and b2: a silently wrong run
+        with pytest.raises(ConfigError) as e:
+            RunConfig(task="mlp", schedules=ScheduleSpec(horizon=10), control_biases=value)
+        assert str(e.value) == f"control_biases: must be a bool, got {value!r}"
+        for flag in (True, np.False_):
+            RunConfig(task="mlp", schedules=ScheduleSpec(horizon=10), control_biases=flag)
+
     def test_numpy_integer_counts_run_as_ints(self):
         counts = {"dim": 3, "hidden": 4, "batch_size": 5, "seed": 6, "eval_every": 7}
         plain = RunConfig(task="mlp", schedules=ScheduleSpec(20, CosineSpec(1.0, 0.1, 2)),

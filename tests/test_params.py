@@ -116,6 +116,22 @@ def test_scaling_homogeneity(vals, c):
     assert abs(after - c * before) <= 4 * EPS * max(c * before, 1e-300)
 
 
+@pytest.mark.parametrize("theta", [[3 + 4j, 1j], np.array(["1", "2"])])
+def test_a_complex_or_text_theta_is_rejected(theta):
+    # not cast to its real part (norm 3.0) or parsed as numbers
+    with pytest.raises(TypeError, match="same_kind"):
+        ParamStore(theta, [ParamGroup("w", 0, 2)])
+
+
+def test_theta_is_copied_as_float64():
+    ints = np.array([[3, 4]])
+    store = ParamStore(ints, [ParamGroup("w", 0, 2)])
+    assert store.theta.dtype == np.float64 and store.controlled_norm() == 5.0
+    floats = np.array([3.0, 4.0])
+    ParamStore(floats, [ParamGroup("w", 0, 2)]).theta[0] = 0.0
+    assert floats[0] == 3.0
+
+
 def test_groups_must_tile_contiguously():
     with pytest.raises(ValueError, match="tile"):
         ParamStore(np.zeros(4), [ParamGroup("a", 0, 2, True), ParamGroup("b", 3, 1, True)])
@@ -269,17 +285,6 @@ def test_certified_norm_buffers_fit_the_store():
     assert peak < 64 * 1024, f"controlled_norm peaked at {peak} bytes for {n} elements"
 
 
-def _norm_and_path(store: ParamStore, monkeypatch) -> tuple[float, str]:
-    """store.controlled_norm() and the path that gave it: "screen" when the
-    small-store screen returned sqrt(fsum) of the unscaled squares, else "scaled"."""
-    calls = []
-    real = params._max_abs
-    monkeypatch.setattr(params, "_max_abs", lambda views: calls.append(1) or real(views))
-    value = store.controlled_norm()
-    monkeypatch.setattr(params, "_max_abs", real)
-    return value, "scaled" if calls else "screen"
-
-
 def _small_stores(x: np.ndarray) -> list[ParamStore]:
     """x as the controlled elements of a one-slice store and of a multi-slice one
     (an empty controlled group first, then x's halves around an uncontrolled group)."""
@@ -302,73 +307,75 @@ def _below(v: float) -> float:
     return math.nextafter(v, 0.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, params._EXACT_CUTOFF - 1])
-def test_the_small_store_screen_at_each_threshold(n, monkeypatch):
-    # The screen passes when m = min fl(x**2) >= 2**-1021, r = fsum of them
-    # <= 2**1000 and r <= 2**1018 * m. Each pair sits on and just past one bound.
+def _threshold_inputs(n: int):
+    # Each pair sits on and just past one bound of the unscaled-square screen
+    # that small stores once took: the least square m against 2**-1021, the
+    # sum r against 2**1000 and r against 2**1018 * m.
     lo = math.sqrt(2.0 ** -1021)  # the least double whose square rounds to >= 2**-1021
     while _below(lo) * _below(lo) >= 2.0 ** -1021:
         lo = _below(lo)
     while lo * lo < 2.0 ** -1021:
         lo = _above(lo)
-    cases = [  # (x[0], every other element, the path)
-        (lo, lo, "screen"), (_below(lo), _below(lo), "scaled"),  # m against 2**-1021
-        # r = 2**1000 + (n - 1) rounds to 2**1000
-        (2.0 ** 500, 1.0, "screen"), (_above(2.0 ** 500), 1.0, "scaled"),
-    ]
-    if n > 1:  # r = 1 + (n - 1) * m rounds to 1, so m = 2**-1018 is the least that passes
-        cases += [(1.0, 2.0 ** -509, "screen"), (1.0, _below(2.0 ** -509), "scaled")]
-    for top, rest, want in cases:
+    cases = [(lo, lo), (_below(lo), _below(lo)),  # (x[0], every other element)
+             (2.0 ** 500, 1.0), (_above(2.0 ** 500), 1.0)]  # r = 2**1000 + (n - 1)
+    if n > 1:  # r = 1 + (n - 1) * m rounds to 1
+        cases += [(1.0, 2.0 ** -509), (1.0, _below(2.0 ** -509))]
+    for top, rest in cases:
         x = np.full(n, rest)
         x[0] = top
-        for store in _small_stores(x):
-            assert _norm_and_path(store, monkeypatch) == (_fsum_norm(x), want), (top, rest)
+        yield x
 
 
-def test_the_screen_bounds_the_spread_not_only_each_end(monkeypatch):
+def _spread_tie_inputs(n: int):
     # fl(a**2) = 1.125 * 2**999 and 2**946 is half its last place: a tie,
     # which fsum rounds to even, down. The tiny element's square, 2**-1020,
     # breaks the tie upward in the unscaled sum, but scaled by 2**-500 it
     # underflows to 0, so the formula's value is a tie rounded down: sqrt of
-    # the unscaled sum is one place too high. m and r pass the screen's ends.
+    # the unscaled sum is one place too high.
     x = np.array([1.5 * 2.0 ** 499, 2.0 ** 473, 2.0 ** -510])
+    assert x.size == n
     assert math.sqrt(math.fsum((x * x).tolist())) == math.nextafter(_fsum_norm(x), math.inf)
-    for store in _small_stores(x):
-        assert _norm_and_path(store, monkeypatch) == (_fsum_norm(x), "scaled")
+    yield x
 
 
-@pytest.mark.parametrize("n", [1, params._EXACT_CUTOFF - 1])
-def test_zeros_subnormals_and_non_finite_values_take_the_scaled_path(n, monkeypatch):
+def _special_inputs(n: int):
     rng = np.random.default_rng(n)
     for special in (0.0, -0.0, 5e-324, 2.0 ** -1030, 1e-300, math.inf, -math.inf, math.nan):
         x = rng.uniform(0.5, 2.0, n)
         x[int(rng.integers(n))] = special
-        want = _fsum_norm(x)
-        for store in _small_stores(x):
-            got, path = _norm_and_path(store, monkeypatch)
-            assert got == want or (math.isnan(got) and math.isnan(want)), special
-            assert path == "scaled", special
-    for store in _small_stores(rng.uniform(0.5, 2.0, n)):
-        assert _norm_and_path(store, monkeypatch)[1] == "screen"
-    x = np.array([1e154, 1e154])  # every square is finite, but fsum of them overflows
-    for store in _small_stores(x):
-        assert _norm_and_path(store, monkeypatch) == (_fsum_norm(x), "scaled")
+        yield x
+    yield rng.uniform(0.5, 2.0, n)
+    x = np.array([1e154, 1e154])  # every square is finite, but their sum overflows
     assert _fsum_norm(x) == 1.414213562373095e+154
+    yield x
 
 
-@pytest.mark.parametrize("n", [1, params._EXACT_CUTOFF - 1])
-def test_the_screen_agrees_with_the_formula_at_every_magnitude(n, monkeypatch):
+def _magnitude_inputs(n: int):
     rng = np.random.default_rng(100 + n)
-    paths = set()
     for magnitude in (1e-320, 1e-300, 1e-160, 1e-150, 1e-5, 1.0, 1e5, 1e150, 1e160, 1e300):
         for spread in (0.0, 3.0, 30.0):
             with np.errstate(over="ignore", under="ignore"):
-                x = rng.normal(size=n) * 10.0 ** rng.uniform(-spread, spread, n) * magnitude
-            for store in _small_stores(x):
-                got, path = _norm_and_path(store, monkeypatch)
-                assert got == _fsum_norm(x), (magnitude, spread)
-                paths.add(path)
-    assert paths == {"screen", "scaled"}
+                yield rng.normal(size=n) * 10.0 ** rng.uniform(-spread, spread, n) * magnitude
+
+
+@pytest.mark.parametrize("inputs, n", [
+    pytest.param(_threshold_inputs, 1, id="threshold-1"),
+    pytest.param(_threshold_inputs, 2, id="threshold-2"),
+    pytest.param(_threshold_inputs, params._EXACT_CUTOFF - 1, id="threshold-999"),
+    pytest.param(_spread_tie_inputs, 3, id="spread_tie-3"),
+    pytest.param(_special_inputs, 1, id="special-1"),
+    pytest.param(_special_inputs, params._EXACT_CUTOFF - 1, id="special-999"),
+    pytest.param(_magnitude_inputs, 1, id="magnitude-1"),
+    pytest.param(_magnitude_inputs, params._EXACT_CUTOFF - 1, id="magnitude-999"),
+])
+def test_a_small_store_norm_is_the_formula(inputs, n):
+    # Zeros, subnormals, inf, NaN, a sum of squares past the largest double,
+    # and each magnitude and spread: a small store computes the formula itself.
+    for x in inputs(n):
+        want = _fsum_norm(x)
+        for store in _small_stores(x):
+            got = store.controlled_norm()
+            assert got == want or (math.isnan(got) and math.isnan(want)), x[:3]
 
 
 def test_a_large_store_builds_no_gather_index():

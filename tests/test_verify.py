@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normcontrol import harness, optim
+from normcontrol.cli import main
 from normcontrol.optim import OptimizerConfig, OptimizerState, Variant, step
 from normcontrol.params import ParamGroup, ParamStore
 from normcontrol.schedules import CosineSpec, PiecewiseLinearSpec, ScheduleSpec
@@ -197,6 +198,28 @@ class TestPropertySuite:
         assert report.total_failures == 3
         text = report.format()
         assert "FAIL bad" in text and "case 2: boom" in text and "ok   good" in text
+
+    def test_a_step_without_epsilon_fails_the_oracle_checks(self, monkeypatch, capsys):
+        def without_epsilon(theta, m_hat, v_hat, eta_t, cfg):  # drops "+ cfg.epsilon"
+            m_hat *= eta_t * cfg.alpha
+            np.sqrt(v_hat, out=v_hat)
+            m_hat /= v_hat
+            theta -= m_hat
+
+        monkeypatch.setattr(optim, "adam_param_update", without_epsilon)
+        report = property_suite(0, 20)
+        failed = [r for r in report.results if not r.passed]
+        assert [r.name for r in failed] == [
+            "oracle step: bare adam", "oracle step: coupled-lr decay",
+            "oracle step: decoupled decay", "oracle step: norm control",
+            "oracle trajectory drift (quadratic, norm control)",
+        ], report.format()
+        assert len(report.results) - len(failed) == 15
+        for r in failed:
+            assert r.first_counterexample.startswith("case "), r
+            assert "np.float64" not in r.first_counterexample, r
+        assert main(["check-grad", "--task", "quadratic", "--properties", "20"]) == 3
+        assert "first counterexample: case 0: theta[0] drifted" in capsys.readouterr().out
 
     def test_invalid_case_count(self):
         with pytest.raises(ValueError, match="cases"):
