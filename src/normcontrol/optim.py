@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .params import ParamStore
-from .schedules import ConfigError
+from .schedules import ConfigError, is_integer
 
 # Below this, the controlled vector is treated as zero: any multiple of it is
 # itself, so a norm target > 0 is unreachable and the update is skipped.
@@ -94,6 +94,12 @@ class OptimizerState:
     v: np.ndarray
 
     def __post_init__(self):
+        # Else a step could fail after setting t, or keep float32 moments.
+        if not is_integer(self.t) or self.t < 0:
+            raise ValueError(f"step count t must be an integer >= 0, got {self.t!r}")
+        for name, a in (("m", self.m), ("v", self.v)):
+            if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 1):
+                raise TypeError(f"{name} must be a 1-D float64 array, got {a!r}")
         if self.m.shape != self.v.shape:
             raise ValueError(f"moment shapes differ: m {self.m.shape}, v {self.v.shape}")
 

@@ -20,12 +20,6 @@ _EXACT_CUTOFF = 1000
 # Elements per block of the certified sum: its transient memory is about two
 # blocks of float64, whatever the store size.
 _BLOCK = 1 << 16
-# The pairwise reduction of a block stops at this many partial sums.
-_LEAVES = 64
-# Unit roundoff of float64, and an upper bound on the depth of any pairwise
-# reduction tree (one level halves the count, and sizes stay below 2**64).
-_U = 2.0 ** -53
-_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -36,6 +30,10 @@ class ParamGroup:
     offset: int
     length: int
     controlled: bool = True
+
+    def __post_init__(self):
+        if not isinstance(self.controlled, (bool, np.bool_)):  # else "false" controls it
+            raise TypeError(f"group {self.name!r}: controlled is not a bool: {self.controlled!r}")
 
     @property
     def slice(self) -> slice:
@@ -86,14 +84,14 @@ class ParamStore:
         invariants rely on it.
 
         Below ``_EXACT_CUTOFF`` elements that formula is what runs. From
-        there on the scaled squares are summed blockwise in numpy with
-        TwoSum (see ``_certified_sum``): the exact sum T equals a short float
-        sum X of partial sums and accumulated errors to within
-        8 * 64 * n * u**2 * X (about 6.3e-30 * n * X). X is rounded and
-        returned only if X minus and X plus that bound round to the same
-        double, which is then the double nearest T, fsum's value. Otherwise
-        (an exact tie, say) fsum runs over the same squares. The temporary
-        memory is about two blocks of ``_BLOCK`` floats.
+        there on the scaled squares are summed blockwise in numpy by two
+        error-free extractions (see ``_certified_sum``): two exact sums and
+        a float sum of the leftovers, which is within n**2 * 2**(2k - 157) of
+        the exact sum T, with 2**k > n. Their rounded total is returned only
+        if it minus and plus that bound round to the same double, which is
+        then the double nearest T, fsum's value. Otherwise (an exact tie,
+        say) fsum runs over the same squares. The temporary memory is about
+        two blocks of ``_BLOCK`` floats.
         """
         if self._gather is not None:
             y = np.abs(self.theta[self._gather])
@@ -177,56 +175,42 @@ def _scaled_squares(views: list[np.ndarray], op, c: float, n: int):
 
 
 def _certified_sum(blocks, n: int) -> float | None:
-    """Correctly rounded sum of n nonnegative finite floats, or None.
+    """Correctly rounded sum of n floats in [0, 1), or None.
 
-    Each block is reduced pairwise with TwoSum, an error-free transformation
-    (Knuth; Ogita, Rump & Oishi, "Accurate Sum and Dot Product", SIAM J. Sci.
-    Comput. 26(6), 2005): s = fl(a + b) and e = (a + b) - s exactly. So the
-    exact sum T equals the sum of the leftover partial sums L plus the sum E
-    of all the errors, with no approximation. E is accumulated in floating
-    point as Ê, and r = fsum(L + [Ê]) is the correctly rounded X = sum(L) + Ê.
-
-    The bound: every input and partial sum is >= 0, so the errors of one
-    tree level add up to at most u times the total carried into that level,
-    which is at most (1 + u)**level * T. Over at most _DEPTH levels the errors
-    sum in absolute value to at most u * _DEPTH * (1 + u)**_DEPTH * T, and
-    Ê, a tree of additions over fewer than n of them, is off by at most
-    gamma_n = n*u / (1 - n*u) <= 1.01 * n*u times that (n < 9e13). With
-    T <= 2r this gives |T - X| <= 2.1 * _DEPTH * n * u**2 * r, which
-    `bound` rounds up to 8 * _DEPTH * n * u**2 * r. Rounding is monotone, so
-    if X - bound and X + bound both round to r (checked exactly, with
-    fsum), so does T, and r is what math.fsum over the same floats returns,
-    bit for bit. When T lies within `bound` of a rounding boundary (an exact
-    tie, say) the check fails and None tells the caller to use math.fsum.
+    Two error-free extractions split each x (Rump, Ogita & Oishi, "Accurate
+    Floating-Point Summation Part I", SIAM J. Sci. Comput. 31(1), 2008).
+    With 2**k > n, sigma is 2**k, then 2**(2k - 52). q = (x + sigma) - sigma
+    is exact by Sterbenz's lemma, and x - q is exact as the error of one
+    rounded addition. After the first split every leftover x is within
+    2**(k - 53), after the second within 2**(2k - 105). Each split's q are
+    multiples of one power of two, and any partial sum of them stays below
+    2**53 of those units, so the sums hi and mid of the two splits' q are
+    exact in any order, across blocks too. lo, the float sum of the n last
+    leftovers, is off by at most gamma_n * n * 2**(2k - 105) <= `bound`.
+    So the exact sum T lies within `bound` of hi + mid + lo, and r is that
+    value correctly rounded. Rounding is monotone: if both ends of the
+    interval round to r (checked exactly, with fsum), so does T, and r is
+    what math.fsum over the same floats returns, bit for bit. When T lies
+    within `bound` of a rounding boundary (an exact tie, say) the check
+    fails and None tells the caller to use math.fsum.
 
     Each block is a float64 array of at most min(n, _BLOCK) elements; the
-    reduction overwrites it.
+    extraction overwrites it.
     """
-    half = min(n, _BLOCK) // 2 + 1
-    s_buf, b_buf = np.empty(half), np.empty(half)
-    terms: list[float] = []
-    err = 0.0
+    k = n.bit_length()
+    q = np.empty(min(n, _BLOCK))
+    sums = [0.0, 0.0, 0.0]  # hi, mid, lo
     for x in blocks:
-        src, dst, m = x, s_buf, x.size
-        while m > _LEAVES:
-            h = m // 2
-            a, b, s, bb = src[:h], src[h:2 * h], dst[:h], b_buf[:h]
-            np.add(a, b, out=s)
-            np.subtract(s, a, out=bb)
-            np.subtract(b, bb, out=b)
-            np.subtract(s, bb, out=bb)
-            np.subtract(a, bb, out=a)
-            np.add(a, b, out=a)  # a = (a - (s - bb)) + (b - bb), the TwoSum error
-            err += float(np.add.reduce(a))
-            if m & 1:
-                dst[h] = src[m - 1]
-                h += 1
-            src, dst, m = dst, src, h
-        terms += src[:m].tolist()
-    terms.append(err)
-    r = math.fsum(terms)
-    bound = 8.0 * _DEPTH * n * _U * _U * r
-    if math.fsum(terms + [-bound]) == r == math.fsum(terms + [bound]):
+        qx = q[:x.size]
+        for i, sigma in enumerate((math.ldexp(1.0, k), math.ldexp(1.0, 2 * k - 52))):
+            np.add(x, sigma, out=qx)
+            qx -= sigma
+            x -= qx
+            sums[i] += float(np.add.reduce(qx))
+        sums[2] += float(np.add.reduce(x))
+    bound = math.ldexp(float(n) * n, 2 * k - 157)
+    r = math.fsum(sums)
+    if math.fsum(sums + [-bound]) == r == math.fsum(sums + [bound]):
         return r
     return None
 

@@ -578,6 +578,20 @@ def test_state_rejects_moments_of_different_shapes():
         OptimizerState(t=0, m=np.zeros(4), v=np.zeros(3))
 
 
+@pytest.mark.parametrize("t, m, error", [
+    (0.5, np.zeros(2), ValueError), (-1, np.zeros(2), ValueError), (True, np.zeros(2), ValueError),
+    (0, np.zeros(2, dtype=np.int64), TypeError), (0, np.zeros(2, dtype=np.float32), TypeError),
+    (0, np.zeros((1, 2)), TypeError), (0, [0.0, 0.0], TypeError),
+], ids=["t=0.5", "t=-1", "t=True", "int64", "float32", "2-D", "list"])
+def test_state_fields_are_checked_at_construction(t, m, error):
+    # else int64 moments failed a step after it set t, and float32 ones stayed float32
+    with pytest.raises(error):
+        OptimizerState(t=t, m=m, v=np.zeros(2))
+    with pytest.raises(error):
+        OptimizerState(t=t, m=np.zeros(2), v=m)
+    OptimizerState(t=np.int64(3), m=np.zeros(2), v=np.zeros(2))
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_a_rejected_step_changes_nothing(variant):
     sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(1.5))

@@ -42,10 +42,13 @@ def test_the_benchmark_workloads_run_on_the_package(tmp_path):
     class Store(workloads.Store1m):
         LAYERS, WEIGHTS, BIASES = 2, 9, 3
 
+    class LargeStore(workloads.Store1m):  # above _EXACT_CUTOFF: the certified norm
+        LAYERS, WEIGHTS, BIASES = 2, 600, 50
+
     class Suite(workloads.VerifySuite):
         CASES = 5
 
-    for workload in (Store, Suite):
+    for workload in (Store, LargeStore, Suite):
         built = workload(normcontrol, workload.inputs(0, ROOT, tmp_path))
         assert built.op_ok(built.op()), workload
         assert [(name, detail) for name, ok, detail in built.checks() if not ok] == []

@@ -223,6 +223,7 @@ def _store_with_controlled(rng, controlled: np.ndarray) -> ParamStore:
 
 @pytest.mark.parametrize("size", [
     params._EXACT_CUTOFF - 1, params._EXACT_CUTOFF, params._EXACT_CUTOFF + 1,
+    1023, 1024,  # n.bit_length() steps from 10 to 11, and the splits with it
     params._BLOCK - 1, params._BLOCK, params._BLOCK + 1, 3 * params._BLOCK + 7,
 ])
 def test_controlled_norm_bitwise_equals_fsum_formula(size):
@@ -271,6 +272,18 @@ def test_exact_tie_reaches_the_fsum_fallback():
     assert params._certified_sum([squares.copy()], squares.size) == math.fsum(squares.tolist())
 
 
+@pytest.mark.parametrize("n", [1, 2, params._EXACT_CUTOFF, 1023, 1024, params._BLOCK,
+                               params._BLOCK + 1, 3 * params._BLOCK + 7])
+def test_the_certified_sum_certifies_ordinary_inputs(n):
+    # A bound that is too loose would send every call to the slow fsum fallback.
+    rng = np.random.default_rng(n)
+    smallest = rng.uniform(0.0, 1e-12, n)  # the least total a store can have:
+    smallest[rng.integers(n)] = 0.25       # one square of 1/4, the rest tiny
+    for squares in (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n) ** 8, smallest):
+        blocks = [squares[i:i + params._BLOCK].copy() for i in range(0, n, params._BLOCK)]
+        assert params._certified_sum(blocks, n) == math.fsum(squares.tolist())
+
+
 def test_certified_norm_buffers_fit_the_store():
     # A store just past _EXACT_CUTOFF takes the blockwise path; its buffers
     # hold what the store needs, not two half-blocks of _BLOCK floats.
@@ -283,6 +296,16 @@ def test_certified_norm_buffers_fit_the_store():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, f"controlled_norm peaked at {peak} bytes for {n} elements"
+
+
+@pytest.mark.parametrize("flag", ["false", 2, None, 1.0])
+def test_a_group_whose_controlled_is_not_a_bool_is_rejected(flag):
+    # else the truthy "false" controls b: the norm over [3, 4, 100] was 100.12, not 5
+    with pytest.raises(TypeError, match=f"group 'b': controlled is not a bool: {flag!r}"):
+        ParamGroup("b", 2, 1, controlled=flag)
+    store = ParamStore(np.array([3.0, 4.0, 100.0]),
+                       [ParamGroup("w", 0, 2), ParamGroup("b", 2, 1, controlled=np.False_)])
+    assert store.controlled_norm() == 5.0
 
 
 def _small_stores(x: np.ndarray) -> list[ParamStore]:
