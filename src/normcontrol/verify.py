@@ -13,6 +13,8 @@ entries, never exceptions.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +29,7 @@ from .schedules import (
     PiecewiseLinearSpec,
     ScheduleSpec,
     cosine_value,
+    is_integer,
 )
 
 REL_FLOOR = 1e-15
@@ -464,10 +467,47 @@ def _check_degenerate_inputs(rng: np.random.Generator) -> str | None:
     return None
 
 
+def _fork_allowed(start_methods, cpus: int, version: tuple) -> bool:
+    """Whether a forked child may share the work: fork exists, a second CPU is
+    there to run it, and Python is older than 3.12, which warns on a fork with threads."""
+    return "fork" in start_methods and cpus > 1 and version < (3, 12)
+
+
+def _check_results(checks, seed: int, indices) -> list[PropertyResult]:
+    """The results of checks[i] for each i of indices, in that order."""
+    results = []
+    for idx in indices:
+        name, fn, n_cases = checks[idx]
+        rng = np.random.default_rng([seed, idx])
+        failures = 0
+        first = None
+        for case in range(n_cases):
+            msg = fn(rng)
+            if msg is not None:
+                failures += 1
+                if first is None:
+                    first = f"case {case}: {msg}"
+        results.append(PropertyResult(name, n_cases, failures, first))
+    return results
+
+
+def _send_results(send, checks, seed: int, indices) -> None:  # the forked child's body
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on an interrupt, the parent stops this process
+    try:
+        send.send(_check_results(checks, seed, indices))
+    except Exception as e:
+        send.send(e)
+
+
 def property_suite(seed: int, cases: int) -> SuiteReport:
-    """Run every documented invariant over `cases` randomized inputs each."""
-    if cases < 1:
-        raise ValueError("cases must be >= 1")
+    """Run every documented invariant over `cases` randomized inputs each: the
+    even-numbered checks here, the odd-numbered ones in a forked child when
+    _fork_allowed, else here after them. The report is the same either way."""
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if not is_integer(cases) or cases < 1:
+        raise ValueError(f"cases must be an integer >= 1, got {cases!r}")
     checks = [
         ("controlled norm scales linearly", _check_norm_scaling, cases),
         ("norm ratio is exactly 1 at init", _check_ratio_at_init, cases),
@@ -497,16 +537,31 @@ def property_suite(seed: int, cases: int) -> SuiteReport:
          lambda r: _decay_equivalence_check(r, Variant.DECAY_DECOUPLED), max(1, cases // 20)),
         ("degenerate inputs stay finite", _check_degenerate_inputs, cases),
     ]
-    results = []
-    for idx, (name, fn, n_cases) in enumerate(checks):
-        rng = np.random.default_rng([seed, idx])
-        failures = 0
-        first = None
-        for case in range(n_cases):
-            msg = fn(rng)
-            if msg is not None:
-                failures += 1
-                if first is None:
-                    first = f"case {case}: {msg}"
-        results.append(PropertyResult(name, n_cases, failures, first))
+    import multiprocessing  # not on the import path of the package or the cli
+    results, child = [None] * len(checks), None
+    odd = range(1, len(checks), 2)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if _fork_allowed(multiprocessing.get_all_start_methods(), cpus, sys.version_info):
+        receive, send = multiprocessing.Pipe(duplex=False)
+        child = multiprocessing.get_context("fork").Process(target=_send_results,
+                                                            args=(send, checks, seed, odd))
+        child.start()
+        send.close()
+    try:
+        results[0::2] = _check_results(checks, seed, range(0, len(checks), 2))
+        if child is None:
+            share = _check_results(checks, seed, odd)
+        else:
+            try:
+                share = receive.recv()
+            except EOFError:
+                raise RuntimeError("the property suite's child ended without a result") from None
+            if isinstance(share, Exception):
+                raise share  # a check raised in the child
+        results[1::2] = share
+    finally:  # stops the child if it still runs, as after an interrupt
+        if child is not None:
+            child.terminate()
+            child.join()
+            receive.close()
     return SuiteReport(results)

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import normcontrol
@@ -52,3 +55,13 @@ def test_the_benchmark_workloads_run_on_the_package(tmp_path):
         built = workload(normcontrol, workload.inputs(0, ROOT, tmp_path))
         assert built.op_ok(built.op()), workload
         assert [(name, detail) for name, ok, detail in built.checks() if not ok] == []
+
+
+def test_importing_the_package_and_cli_does_not_import_multiprocessing():
+    # property_suite and compare import it when called; set-up time would carry it otherwise
+    code = "import sys, normcontrol, normcontrol.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"

@@ -1,15 +1,19 @@
 import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normcontrol import harness, optim
+from normcontrol import harness, optim, verify
 from normcontrol.cli import main
 from normcontrol.optim import OptimizerConfig, OptimizerState, Variant, step
 from normcontrol.params import ParamGroup, ParamStore
-from normcontrol.schedules import CosineSpec, PiecewiseLinearSpec, ScheduleSpec
+from normcontrol.schedules import CosineSpec, PiecewiseLinearSpec, ScheduleSpec, is_integer
 from normcontrol.verify import (
     PropertyResult,
     SuiteReport,
@@ -229,3 +233,98 @@ class TestPropertySuite:
         a = property_suite(seed=5, cases=10)
         b = property_suite(seed=5, cases=10)
         assert a == b
+
+
+@pytest.mark.parametrize("seed, cases", [(0, True), (0, 2.5), (0, -3), (-1, 5), (True, 5),
+                                         (1.0, 5), ("0", 5)])
+def test_property_suite_checks_its_arguments_first(monkeypatch, seed, cases):
+    def first_check(rng):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_check_norm_scaling", first_check)
+    name = "cases" if is_integer(seed) and seed >= 0 else "seed"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        property_suite(seed, cases)
+    assert multiprocessing.active_children() == []
+
+
+def test_property_suite_takes_numpy_integers():
+    assert property_suite(np.int64(3), np.int32(1)) == property_suite(3, 1)
+
+
+class TestTwoProcesses:
+    """property_suite with its odd-numbered checks in a forked child, and without."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform cannot fork")
+        monkeypatch.setattr(verify, "_fork_allowed", lambda *conditions: True)
+        return monkeypatch
+
+    def test_the_fork_gate_needs_all_three_conditions(self):
+        assert verify._fork_allowed(["fork", "spawn", "forkserver"], 2, (3, 11, 7))
+        assert not verify._fork_allowed(["spawn"], 2, (3, 11, 7))
+        assert not verify._fork_allowed(["fork", "spawn"], 1, (3, 11, 7))
+        assert not verify._fork_allowed(["fork", "spawn"], 8, (3, 12, 0))
+
+    @pytest.mark.parametrize("cases", [1, 20, 300])
+    def test_the_report_is_the_same_in_one_process(self, forks, cases):
+        on = [property_suite(seed, cases) for seed in range(3)]
+        forks.setattr(verify, "_fork_allowed", lambda *conditions: False)
+        off = [property_suite(seed, cases) for seed in range(3)]
+        assert [r.format() for r in on] == [r.format() for r in off]
+        assert on == off
+
+    def test_a_failing_report_is_the_same_in_one_process(self, forks):
+        def without_epsilon(theta, m_hat, v_hat, eta_t, cfg):  # the child inherits this patch
+            m_hat *= eta_t * cfg.alpha
+            np.sqrt(v_hat, out=v_hat)
+            m_hat /= v_hat
+            theta -= m_hat
+
+        forks.setattr(optim, "adam_param_update", without_epsilon)
+        on = property_suite(0, 20).format()
+        forks.setattr(verify, "_fork_allowed", lambda *conditions: False)
+        assert property_suite(0, 20).format() == on
+        assert on.count("FAIL") == 5 and on.count("first counterexample: case ") == 5, on
+
+    def test_a_check_that_raises_in_the_child_raises_here(self, forks):
+        def boom(rng):  # index 1: the child's first check
+            raise ZeroDivisionError("boom in the child")
+
+        forks.setattr(verify, "_check_ratio_at_init", boom)
+        with pytest.raises(ZeroDivisionError, match="^boom in the child$"):
+            property_suite(0, 5)
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_child_raises_a_runtime_error(self, forks):
+        forks.setattr(verify, "_check_ratio_at_init",
+                      lambda rng: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match="child ended without a result"):
+            property_suite(0, 5)
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupted_suite_stops_the_child(self, forks, capfd):
+        started = multiprocessing.get_context("fork").Event()
+        children = []
+
+        def slow(rng):  # in the child
+            started.set()
+            time.sleep(60)
+
+        def interrupt(rng):  # index 0, here
+            assert started.wait(30)
+            children.extend(multiprocessing.active_children())
+            for child in children:  # Ctrl-C signals the whole foreground process group
+                os.kill(child.pid, signal.SIGINT)
+                child.join(timeout=0.2)
+            raise KeyboardInterrupt
+
+        forks.setattr(verify, "_check_ratio_at_init", slow)
+        forks.setattr(verify, "_check_norm_scaling", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            property_suite(0, 1)
+        assert multiprocessing.active_children() == []
+        assert [child.exitcode for child in children] == [-signal.SIGTERM]  # stopped, not awaited
+        assert capfd.readouterr().err == ""
