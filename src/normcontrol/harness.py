@@ -38,6 +38,7 @@ from .schedules import (
     parse_choice,
 )
 from .tasks import TASK_NAMES, build_task
+from .verify import forked
 
 
 @dataclass(frozen=True)
@@ -231,45 +232,29 @@ def calibrate_rt_from_run(reference_trace: RunTrace) -> PiecewiseLinearSpec:
     return PiecewiseLinearSpec.linear(_rt_breakpoints(reference_trace.rows))
 
 
-def _send_rows(config: RunConfig, send) -> None:  # the reference process's body
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on an interrupt, the parent stops this process
-    try:
-        task, store, rng = initialize_run(config)
-        for row in _logged_rows(config, task, store, rng):
-            send.send(row)
-        send.send(store.initial_norm)
-    except Exception as e:
-        send.send(e)
+def _reference_rows(config: RunConfig):  # run A's rows, as compare reads them from forked()
+    return _logged_rows(config, *initialize_run(config))
 
 
 class _StreamedRt(PiecewiseLinearSpec):
-    """calibrate_rt_from_run's rt for run(config) in self.child: waits for rows up to t."""
+    """calibrate_rt_from_run's rt for reference rows that are read as t needs them."""
 
-    def __init__(self, config: RunConfig):
-        import multiprocessing  # not on the import path of run and check-grad
-        self.receive, send = multiprocessing.Pipe(duplex=False)
-        self.child = multiprocessing.Process(target=_send_rows, args=(config, send))
-        self.child.start()
-        send.close()
-        self.rows, self.outcome = [], None
+    def __init__(self, reference_rows):
+        self.reference_rows, self.rows, self.error = reference_rows, [], None
         self._breakpoints = _rt_breakpoints(self.arrivals())
         super().__init__([next(self._breakpoints)])
 
     def arrivals(self):
-        """The child's rows as they arrive; then its error, if its run failed."""
-        while self.outcome is None:
-            try:
-                message = self.receive.recv()
-            except EOFError:
-                message = RuntimeError("the reference run ended without a result")
-            if isinstance(message, TraceRow):
-                self.rows.append(message)
-                yield message
-            else:
-                self.outcome = message  # the initial norm, or the run's error
-        if isinstance(self.outcome, Exception):
-            raise self.outcome
+        """The reference rows as they are read; then their error, each time it is asked for."""
+        if self.error is not None:
+            raise self.error
+        try:
+            for row in self.reference_rows:
+                self.rows.append(row)
+                yield row
+        except Exception as e:
+            self.error = e
+            raise
 
     def value_at(self, t: int) -> float:
         while self.points[-1][0] < t:
@@ -303,8 +288,9 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
     config_b_template must use the NORM_CONTROL variant and describe A's experiment:
     every key of _experiment equal to A's. Its rt schedule is replaced by A's measured
     norm trajectory (calibrate_rt_from_run). All of this is checked before config_a
-    runs. A runs in a child process beside B, with the outputs and errors of running A,
-    then B.
+    runs. A's rows come from verify.forked: from a forked child beside B when
+    verify._fork_allowed, else from this process as B's steps read them. Either way
+    the outputs and errors are those of running A, then B.
     """
     if config_a.optimizer.variant not in (Variant.DECAY_COUPLED_LR, Variant.DECAY_DECOUPLED,
                                           Variant.COUPLED_SGD):
@@ -316,21 +302,19 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
         if experiment_b[key] != value_a:
             raise ConfigError(key, f"template B has {experiment_b[key]!r}, config A "
                                    f"{value_a!r}; both must describe the same experiment")
-    rt = _StreamedRt(config_a)
-    try:
+    with forked("the reference run", _reference_rows, config_a) as reference_rows:
+        rt = _StreamedRt(reference_rows)
         try:
             trace_b = run(replace(config_b_template,
                                   schedules=replace(config_b_template.schedules, rt=rt)))
         except Exception as e:
             trace_b = e  # raised after A's errors, as when A runs first
         list(rt.arrivals())  # A to its end; raises A's error
-    finally:  # stops the child if it still runs, as after an interrupt
-        rt.child.terminate()
-        rt.child.join()
-    trace_a = RunTrace(rt.rows, rt.outcome)
+    trace_a = RunTrace(rt.rows, math.nan)  # its initial norm is B's, set below
     replace(config_b_template.schedules, rt=calibrate_rt_from_run(trace_a))  # checks A's rt
     if isinstance(trace_b, Exception):
         raise trace_b
+    trace_a.initial_norm = trace_b.initial_norm  # initialize_run reads only _experiment keys
 
     loss_a = {r.t: r.val_loss for r in trace_a.rows}
     rel = [(r.t, r.val_loss / loss_a[r.t]) for r in trace_b.rows

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -473,9 +474,55 @@ def _fork_allowed(start_methods, cpus: int, version: tuple) -> bool:
     return "fork" in start_methods and cpus > 1 and version < (3, 12)
 
 
-def _check_results(checks, seed: int, indices) -> list[PropertyResult]:
-    """The results of checks[i] for each i of indices, in that order."""
-    results = []
+@contextmanager
+def forked(name: str, items, *args):
+    """Yield an iterator over items(*args): from a child forked at once when
+    _fork_allowed, else made here as they are read. Leaving the block stops and
+    joins the child; a child that ends early raises RuntimeError naming it."""
+    import multiprocessing  # not on the import path of the package or the cli
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if not _fork_allowed(multiprocessing.get_all_start_methods(), cpus, sys.version_info):
+        yield items(*args)
+        return
+    receive, send = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(target=_send_items, args=(send, items, args))
+    child.start()
+    send.close()
+    try:
+        yield _received(receive, name)
+    finally:  # stops the child if it still runs, as after an error or an interrupt
+        child.terminate()
+        child.join()
+        receive.close()
+
+
+def _send_items(send, items, args) -> None:  # the forked child's body
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on an interrupt, the parent stops this process
+    try:
+        for item in items(*args):
+            send.send((item,))
+        send.send(())  # the end; an item goes as a 1-tuple, so any item can be told from it
+    except Exception as e:
+        send.send(e)
+
+
+def _received(receive, name: str):
+    """The child's items as they arrive, until its end; then its error, if it raised one."""
+    while True:
+        try:
+            message = receive.recv()
+        except EOFError:
+            raise RuntimeError(f"{name} ended without a result") from None
+        if isinstance(message, Exception):
+            raise message
+        if not message:
+            return
+        yield message[0]
+
+
+def _check_results(checks, seed: int, indices):
+    """The result of checks[i] for each i of indices, in that order."""
     for idx in indices:
         name, fn, n_cases = checks[idx]
         rng = np.random.default_rng([seed, idx])
@@ -487,23 +534,13 @@ def _check_results(checks, seed: int, indices) -> list[PropertyResult]:
                 failures += 1
                 if first is None:
                     first = f"case {case}: {msg}"
-        results.append(PropertyResult(name, n_cases, failures, first))
-    return results
-
-
-def _send_results(send, checks, seed: int, indices) -> None:  # the forked child's body
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on an interrupt, the parent stops this process
-    try:
-        send.send(_check_results(checks, seed, indices))
-    except Exception as e:
-        send.send(e)
+        yield PropertyResult(name, n_cases, failures, first)
 
 
 def property_suite(seed: int, cases: int) -> SuiteReport:
     """Run every documented invariant over `cases` randomized inputs each: the
-    even-numbered checks here, the odd-numbered ones in a forked child when
-    _fork_allowed, else here after them. The report is the same either way."""
+    even-numbered checks here, the odd-numbered ones from forked(): in its child
+    when _fork_allowed, else here after them. The report is the same either way."""
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if not is_integer(cases) or cases < 1:
@@ -537,31 +574,9 @@ def property_suite(seed: int, cases: int) -> SuiteReport:
          lambda r: _decay_equivalence_check(r, Variant.DECAY_DECOUPLED), max(1, cases // 20)),
         ("degenerate inputs stay finite", _check_degenerate_inputs, cases),
     ]
-    import multiprocessing  # not on the import path of the package or the cli
-    results, child = [None] * len(checks), None
-    odd = range(1, len(checks), 2)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if _fork_allowed(multiprocessing.get_all_start_methods(), cpus, sys.version_info):
-        receive, send = multiprocessing.Pipe(duplex=False)
-        child = multiprocessing.get_context("fork").Process(target=_send_results,
-                                                            args=(send, checks, seed, odd))
-        child.start()
-        send.close()
-    try:
+    results = [None] * len(checks)
+    with forked("the property suite's child", _check_results, checks, seed,
+                range(1, len(checks), 2)) as odd:
         results[0::2] = _check_results(checks, seed, range(0, len(checks), 2))
-        if child is None:
-            share = _check_results(checks, seed, odd)
-        else:
-            try:
-                share = receive.recv()
-            except EOFError:
-                raise RuntimeError("the property suite's child ended without a result") from None
-            if isinstance(share, Exception):
-                raise share  # a check raised in the child
-        results[1::2] = share
-    finally:  # stops the child if it still runs, as after an interrupt
-        if child is not None:
-            child.terminate()
-            child.join()
-            receive.close()
+        results[1::2] = odd
     return SuiteReport(results)

@@ -5,6 +5,7 @@ import signal
 from pathlib import Path
 
 import pytest
+from conftest import FORK_GATES, fork_gate
 
 from normcontrol import tasks
 from normcontrol.cli import main
@@ -233,10 +234,10 @@ def test_run_checks_the_output_path_before_the_run(tmp_path, capsys, monkeypatch
 def test_compare_checks_the_output_dir_before_the_runs(tmp_path, capsys, monkeypatch):
     from normcontrol import harness
 
-    def no_run(config):
+    def no_run(name, items, *args):
         raise AssertionError("run A started before the output directory was checked")
 
-    monkeypatch.setattr(harness, "_StreamedRt", no_run)
+    monkeypatch.setattr(harness, "forked", no_run)
     blocker = tmp_path / "a_file"
     blocker.write_text("keep")
     for out_dir in (blocker, blocker / "sub" / "dir"):
@@ -294,10 +295,10 @@ def test_shipped_configs_parse_and_compare(tmp_path):
 def test_compare_rejects_a_template_of_another_experiment(tmp_path, capsys, monkeypatch):
     from normcontrol import harness
 
-    def no_run(config):
+    def no_run(name, items, *args):
         raise AssertionError("run A started before the template was checked")
 
-    monkeypatch.setattr(harness, "_StreamedRt", no_run)
+    monkeypatch.setattr(harness, "forked", no_run)
     shipped = (CONFIGS_DIR / "mlp_norm_control.cfg").read_text()
     templates = {
         "eta": shipped.replace("eta = cosine(1.0, 0.1)", "eta = cosine(1.0, 0.2)"),
@@ -381,15 +382,17 @@ def test_compare_reports_errors_as_a_sequential_run_does(tmp_path, capfd, a_chan
     cfg_a, cfg_b = tmp_path / "a.cfg", tmp_path / "b.cfg"
     cfg_a.write_text(_shipped("mlp_adamw.cfg", **a_changes))
     cfg_b.write_text(_shipped("mlp_norm_control.cfg", **b_changes))
-    assert main(["compare", "--config-a", str(cfg_a), "--template-b", str(cfg_b),
-                 "--out-dir", str(tmp_path / "out")]) == rc
-    assert multiprocessing.active_children() == []
-    err = capfd.readouterr().err
-    assert err.splitlines()[-1] == line and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    for allowed in FORK_GATES:  # A in a forked child, then in this process
+        with fork_gate(allowed):
+            assert main(["compare", "--config-a", str(cfg_a), "--template-b", str(cfg_b),
+                         "--out-dir", str(tmp_path / "out")]) == rc, allowed
+        assert multiprocessing.active_children() == []
+        err = capfd.readouterr().err
+        assert err.splitlines()[-1] == line and "Traceback" not in err, allowed
+        assert not (tmp_path / "out").exists()
 
 
-def test_compare_reports_a_reference_process_that_dies(tmp_path, capfd, monkeypatch):
+def test_compare_reports_a_reference_process_that_dies(tmp_path, capfd, forks):
     import multiprocessing
 
     from normcontrol import harness
@@ -401,7 +404,7 @@ def test_compare_reports_a_reference_process_that_dies(tmp_path, capfd, monkeypa
             child.kill()
         return run_b(config)
 
-    monkeypatch.setattr(harness, "run", kill_reference_then_run)
+    forks.setattr(harness, "run", kill_reference_then_run)
     assert main(["compare", "--config-a", str(CONFIGS_DIR / "mlp_adamw.cfg"),
                  "--template-b", str(CONFIGS_DIR / "mlp_norm_control.cfg"),
                  "--out-dir", str(tmp_path / "out")]) == 3
@@ -409,7 +412,7 @@ def test_compare_reports_a_reference_process_that_dies(tmp_path, capfd, monkeypa
     assert capfd.readouterr().err == "numeric error: the reference run ended without a result\n"
 
 
-def test_an_interrupted_compare_stops_the_reference_process(monkeypatch, capfd):
+def test_an_interrupted_compare_stops_the_reference_process(forks, capfd):
     import multiprocessing
     import os
 
@@ -425,7 +428,7 @@ def test_an_interrupted_compare_stops_the_reference_process(monkeypatch, capfd):
             child.join(timeout=0.2)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(harness, "run", interrupt)
+    forks.setattr(harness, "run", interrupt)
     # A long enough that the child still runs when the interrupt reaches the parent
     config_a, template_b = (harness.parse_run_config(_shipped(name, T="30000"))
                             for name in ("mlp_adamw.cfg", "mlp_norm_control.cfg"))

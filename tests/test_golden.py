@@ -5,7 +5,8 @@ golden.json covers:
 * ``compare/<file>``: `trace_a.csv`, `trace_b.csv` and `report.json` from
   `compare --config-a configs/mlp_adamw.cfg --template-b
   configs/mlp_norm_control.cfg` (seed 0, as shipped), and
-  ``compare/seed<s>/<file>`` the same at seeds 25 and 105;
+  ``compare/seed<s>/<file>`` the same at seeds 25 and 105, each checked with
+  run A in a forked child (where this platform can fork) and in this process;
 * ``run/<task>/<variant>``: the trace CSV of a `run` of each task under each
   optimizer variant, T = 301 (not a multiple of the sampler's block), and
   ``run/<task>/norm_control/T<T>-batch<b>`` under norm control at T = 7
@@ -42,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import FORK_GATES, fork_gate
 from test_optim import _chunked_store
 
 from normcontrol import harness, tasks, verify
@@ -175,18 +177,27 @@ def recorded():
 
 @pytest.fixture(scope="module")
 def compared(recorded, tmp_path_factory):
-    return compare_digests(tmp_path_factory.mktemp("compare"))
+    """compare_digests by each of FORK_GATES: A's rows from a forked child, and from this process."""
+    digests = {}
+    for allowed in FORK_GATES:
+        with fork_gate(allowed):
+            digests[allowed] = compare_digests(tmp_path_factory.mktemp("compare"))
+    return digests
 
 
 @pytest.mark.parametrize("name", OUTPUTS)
 def test_compare_output_matches_its_golden_digest(name, recorded, compared):
-    assert compared[f"compare/{name}"] == recorded[f"compare/{name}"]
+    key = f"compare/{name}"
+    assert {gate: digests[key] for gate, digests in compared.items()} == dict.fromkeys(
+        compared, recorded[key])
 
 
 @pytest.mark.parametrize("name", OUTPUTS)
 @pytest.mark.parametrize("seed", COMPARE_SEEDS)
 def test_compare_output_at_another_seed_matches_its_golden_digest(seed, name, recorded, compared):
-    assert compared[f"compare/seed{seed}/{name}"] == recorded[f"compare/seed{seed}/{name}"]
+    key = f"compare/seed{seed}/{name}"
+    assert {gate: digests[key] for gate, digests in compared.items()} == dict.fromkeys(
+        compared, recorded[key])
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)

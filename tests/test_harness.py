@@ -1,10 +1,12 @@
 import math
+import multiprocessing
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from conftest import FORK_GATES, fork_gate
 
-from normcontrol import cli, harness, optim
+from normcontrol import cli, harness, optim, verify
 from normcontrol.harness import (
     RunConfig,
     RunTrace,
@@ -212,21 +214,50 @@ class TestCompare:
         a = make_config(task="mlp", variant=Variant.DECAY_COUPLED_LR, lam=0.1,
                         T=300, eval_every=eval_every)
         b = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=300, eval_every=eval_every)
-        report = compare(a, b)
         trace_a = run(a)
         trace_b = run(replace(b, schedules=replace(b.schedules,
                                                    rt=calibrate_rt_from_run(trace_a))))
-        assert report.trace_a == trace_a and report.trace_b == trace_b
+        for allowed in FORK_GATES:  # A in a forked child, then in this process
+            with fork_gate(allowed):
+                report = compare(a, b)
+            assert report.trace_a == trace_a and report.trace_b == trace_b, allowed
+
+    def test_one_process_starts_no_child_and_reports_as_the_forked_run(self, forks):
+        a = make_config(task="mlp", variant=Variant.DECAY_COUPLED_LR, lam=0.1, T=300)
+        b = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=300)
+        children, run_b = [], harness.run
+
+        def counted(config):  # B's run, once A has logged its first row
+            config.schedules.rt_at(1)
+            children.append(len(multiprocessing.active_children()))
+            return run_b(config)
+
+        forks.setattr(harness, "run", counted)
+        on = compare(a, b)
+        forks.setattr(verify, "_fork_allowed", lambda *conditions: False)
+        off = compare(a, b)
+        assert children == [1, 0] and off == on
+
+    def test_the_reference_child_comes_from_the_fork_context(self, forks):
+        def refused(*args, **kwargs):
+            raise AssertionError("multiprocessing.Process: the default start method was used")
+
+        forks.setattr(multiprocessing, "Process", refused)
+        a = make_config(task="mlp", variant=Variant.DECAY_COUPLED_LR, lam=0.1, T=300)
+        b = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=300)
+        report = compare(a, b)
+        assert [r.r_t for r in report.trace_b.rows] == [r.norm_ratio for r in report.trace_a.rows]
+        assert multiprocessing.active_children() == []
 
     def test_mismatched_template_rejected_before_the_reference_run(self, monkeypatch):
         calls = []
-        streamed_rt = harness._StreamedRt
+        forked = harness.forked
 
-        def recorded(config):
-            calls.append(config)
-            return streamed_rt(config)
+        def recorded(name, items, *args):
+            calls.append(args)
+            return forked(name, items, *args)
 
-        monkeypatch.setattr(harness, "_StreamedRt", recorded)
+        monkeypatch.setattr(harness, "forked", recorded)
         a = make_config(task="mlp", variant=Variant.DECAY_COUPLED_LR, lam=0.1, T=300)
         b = make_config(task="mlp", variant=Variant.NORM_CONTROL, T=300)
         sched = b.schedules
@@ -249,7 +280,7 @@ class TestCompare:
         report = compare(a, replace(
             b, optimizer=OptimizerConfig(variant=Variant.NORM_CONTROL, alpha=0.002),
             schedules=replace(sched, kt=PiecewiseLinearSpec.const(0.05))))
-        assert calls == [a]
+        assert calls == [(a,)]
         assert [r.t for r in report.trace_b.rows] == [r.t for r in report.trace_a.rows]
         assert ([r.r_t for r in report.trace_b.rows]
                 == [r.norm_ratio for r in report.trace_a.rows])

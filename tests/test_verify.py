@@ -255,13 +255,6 @@ def test_property_suite_takes_numpy_integers():
 class TestTwoProcesses:
     """property_suite with its odd-numbered checks in a forked child, and without."""
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("this platform cannot fork")
-        monkeypatch.setattr(verify, "_fork_allowed", lambda *conditions: True)
-        return monkeypatch
-
     def test_the_fork_gate_needs_all_three_conditions(self):
         assert verify._fork_allowed(["fork", "spawn", "forkserver"], 2, (3, 11, 7))
         assert not verify._fork_allowed(["spawn"], 2, (3, 11, 7))
