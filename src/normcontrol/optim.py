@@ -119,30 +119,30 @@ class StepReport:
 
 
 def adam_moment_update(
-    m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, cfg: OptimizerConfig,
+    m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, cfg: OptimizerConfig, out=(None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Update the moments m and v in place for step t; return bias-corrected m_hat, v_hat.
 
     m, v and g are float64 arrays of one shape, and t >= 1. At t == 1 the
     correction cancels algebraically (m = (1-b1)g, divisor 1-b1), so the
     divide is skipped to keep m_hat == g and v_hat == g*g bitwise. The
-    returned arrays are new, and also hold the (1-b1)g and (1-b2)g*g terms
-    on the way.
+    returned arrays are new, or the pair ``out`` of g's shape written over,
+    and also hold the (1-b1)g and (1-b2)g*g terms on the way.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, incremented for the current step, got {t}")
     if g.shape != m.shape or v.shape != m.shape:
         raise ValueError(f"gradient shape {g.shape} != moment shapes {m.shape}, {v.shape}")
-    m_hat = g * (1.0 - cfg.beta1)
+    m_hat = np.multiply(g, 1.0 - cfg.beta1, out=out[0])
     m *= cfg.beta1
     m += m_hat
-    v_hat = g * g
+    v_hat = np.square(g, out=out[1])
     v_hat *= 1.0 - cfg.beta2
     v *= cfg.beta2
     v += v_hat
     if t == 1:
         m_hat[...] = g
-        np.multiply(g, g, out=v_hat)
+        np.square(g, out=v_hat)
     else:
         np.divide(m, 1.0 - cfg.beta1**t, out=m_hat)
         np.divide(v, 1.0 - cfg.beta2**t, out=v_hat)
@@ -278,11 +278,12 @@ def step(
             m_hat, v_hat = adam_moment_update(m, v, g, t, cfg)
             adam_param_update(theta, m_hat, v_hat, eta_t, cfg)
         else:
+            hats = np.empty((2, _CHUNK))  # each part's m_hat and v_hat in turn
             for i in range(0, g.size, _CHUNK):
-                m_hat, v_hat = adam_moment_update(m[i:i + _CHUNK], v[i:i + _CHUNK],
-                                                  g[i:i + _CHUNK], t, cfg)
-                adam_param_update(theta[i:i + _CHUNK], m_hat, v_hat, eta_t, cfg)
-        del m_hat, v_hat  # else held through the norm's peak
+                j = min(i + _CHUNK, g.size)
+                m_hat, v_hat = adam_moment_update(m[i:j], v[i:j], g[i:j], t, cfg, hats[:, :j - i])
+                adam_param_update(theta[i:j], m_hat, v_hat, eta_t, cfg)
+        hats = m_hat = v_hat = None  # else held through the norm's peak
         scale = 1.0 if cfg.variant is Variant.NONE else regularize_norm_control(store, r_t, k_t)
 
     # Positional arguments: keywords make a small store's step measurably slower.

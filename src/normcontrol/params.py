@@ -14,12 +14,15 @@ from itertools import chain
 
 import numpy as np
 
+from .schedules import is_integer
+
 # Stores with fewer controlled elements than this sum their scaled squares
 # with math.fsum directly, which is faster there than the certified sum.
 _EXACT_CUTOFF = 1000
 # Elements per block of the certified sum: its transient memory is about two
 # blocks of float64, whatever the store size.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
+_ROW = 1 << 12  # elements per row of the certified sum, whose row sums go to fsum
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,9 @@ class ParamGroup:
     def __post_init__(self):
         if not isinstance(self.controlled, (bool, np.bool_)):  # else "false" controls it
             raise TypeError(f"group {self.name!r}: controlled is not a bool: {self.controlled!r}")
+        if not (is_integer(self.offset) and is_integer(self.length)):  # a float slices late
+            raise TypeError(f"group {self.name!r}: offset and length must be integers (not bools), "
+                            f"got {self.offset!r} and {self.length!r}")
 
     @property
     def slice(self) -> slice:
@@ -67,7 +73,9 @@ class ParamStore:
             self._gather = (slices[0] if len(slices) == 1 else
                             np.concatenate([np.arange(s.start, s.stop) for s in slices]))
         if initial_norm is None:
-            initial_norm = self.controlled_norm()
+            initial_norm = self.controlled_norm()  # NaN if theta holds a NaN
+        elif not initial_norm >= 0.0:  # NaN fails too; a norm target is never negative
+            raise ValueError(f"initial_norm must be >= 0, got {initial_norm!r}")
         self.initial_norm = float(initial_norm)
 
     def controlled_norm(self) -> float:
@@ -84,14 +92,14 @@ class ParamStore:
         invariants rely on it.
 
         Below ``_EXACT_CUTOFF`` elements that formula is what runs. From
-        there on the scaled squares are summed blockwise in numpy by two
-        error-free extractions (see ``_certified_sum``): two exact sums and
-        a float sum of the leftovers, which is within n**2 * 2**(2k - 157) of
-        the exact sum T, with 2**k > n. Their rounded total is returned only
-        if it minus and plus that bound round to the same double, which is
-        then the double nearest T, fsum's value. Otherwise (an exact tie,
-        say) fsum runs over the same squares. The temporary memory is about
-        two blocks of ``_BLOCK`` floats.
+        there on the scaled squares are summed blockwise in numpy by one
+        error-free extraction (see ``_certified_sum``): per row of ``_ROW``
+        elements, an exact sum and a float sum of the leftovers, which are
+        within n * 2**-80 of the exact sum T all together. Their rounded
+        total is returned only if it minus and plus that bound round to the
+        same double, which is then the double nearest T, fsum's value.
+        Otherwise (an exact tie, say) fsum runs over the same squares. The
+        temporary memory is about two blocks of ``_BLOCK`` floats.
         """
         if self._gather is not None:
             y = np.abs(self.theta[self._gather])
@@ -99,14 +107,12 @@ class ParamStore:
         else:
             views = [self.theta[s] for s in self.controlled_slices]
             biggest = _max_abs(views)
-        if biggest == 0.0:
-            return 0.0
-        if not math.isfinite(biggest):
-            return biggest  # inf, or NaN if any element is NaN
+        if biggest == 0.0 or not math.isfinite(biggest):
+            return biggest  # 0, inf, or NaN if any element is NaN
         exp = math.frexp(biggest)[1]
-        # y = x / 2**exp. 2**1024 is not a double, but 2**-1024 is, and x times
-        # it rounds the same exact quotient.
-        op, c = (np.multiply, 2.0 ** -1024) if exp > 1023 else (np.divide, math.ldexp(1.0, exp))
+        # y = x / 2**exp, as x times 2**-exp, which rounds the same exact quotient
+        # and is cheaper, wherever 2**-exp is a double.
+        op, c = (np.multiply, math.ldexp(1.0, -exp)) if exp >= -1023 else (np.divide, math.ldexp(1.0, exp))
         if self._gather is not None:
             op(y, c, out=y)
             y *= y
@@ -135,7 +141,9 @@ class ParamStore:
 
     def snapshot(self) -> "ParamStore":
         """Deep copy; mutating the copy leaves the original untouched."""
-        return ParamStore(self.theta.copy(), list(self.groups), initial_norm=self.initial_norm)
+        copy = ParamStore(self.theta.copy(), list(self.groups), initial_norm=0.0)
+        copy.initial_norm = self.initial_norm  # as measured, NaN too
+        return copy
 
 
 def _max_abs(views: list[np.ndarray]) -> float:
@@ -166,28 +174,28 @@ def _scaled_squares(views: list[np.ndarray], op, c: float, n: int):
             k += take
             pos += take
             if k == buf.size:
-                np.multiply(buf, buf, out=buf)
+                np.square(buf, out=buf)
                 yield buf
                 k = 0
     if k:
-        np.multiply(buf[:k], buf[:k], out=buf[:k])
+        np.square(buf[:k], out=buf[:k])
         yield buf[:k]
 
 
 def _certified_sum(blocks, n: int) -> float | None:
     """Correctly rounded sum of n floats in [0, 1), or None.
 
-    Two error-free extractions split each x (Rump, Ogita & Oishi, "Accurate
+    One error-free extraction splits each x (Rump, Ogita & Oishi, "Accurate
     Floating-Point Summation Part I", SIAM J. Sci. Comput. 31(1), 2008).
-    With 2**k > n, sigma is 2**k, then 2**(2k - 52). q = (x + sigma) - sigma
-    is exact by Sterbenz's lemma, and x - q is exact as the error of one
-    rounded addition. After the first split every leftover x is within
-    2**(k - 53), after the second within 2**(2k - 105). Each split's q are
-    multiples of one power of two, and any partial sum of them stays below
-    2**53 of those units, so the sums hi and mid of the two splits' q are
-    exact in any order, across blocks too. lo, the float sum of the n last
-    leftovers, is off by at most gamma_n * n * 2**(2k - 105) <= `bound`.
-    So the exact sum T lies within `bound` of hi + mid + lo, and r is that
+    With sigma = 2**13, q = (x + sigma) - sigma is exact by Sterbenz's
+    lemma, and the leftover x - q is exact as the error of one rounded
+    addition. Each q is a multiple of 2**-39 in [0, 1], and each leftover is
+    within 2**-40. A row holds at most L = _ROW = 2**12 elements, so any
+    partial sum of its q is at most 2**51 units of 2**-39: the row sum of
+    the q is exact in any order. The float sum of a row's m <= L leftovers
+    is off by at most gamma_(m-1) * m * 2**-40 < 2 * L * 2**-53 * m * 2**-40,
+    so all rows together by at most n * 2**-80 = `bound`. So the exact sum
+    T lies within `bound` of the exact sum of the row sums, and r is that
     value correctly rounded. Rounding is monotone: if both ends of the
     interval round to r (checked exactly, with fsum), so does T, and r is
     what math.fsum over the same floats returns, bit for bit. When T lies
@@ -197,18 +205,18 @@ def _certified_sum(blocks, n: int) -> float | None:
     Each block is a float64 array of at most min(n, _BLOCK) elements; the
     extraction overwrites it.
     """
-    k = n.bit_length()
     q = np.empty(min(n, _BLOCK))
-    sums = [0.0, 0.0, 0.0]  # hi, mid, lo
+    sums = []
     for x in blocks:
         qx = q[:x.size]
-        for i, sigma in enumerate((math.ldexp(1.0, k), math.ldexp(1.0, 2 * k - 52))):
-            np.add(x, sigma, out=qx)
-            qx -= sigma
-            x -= qx
-            sums[i] += float(np.add.reduce(qx))
-        sums[2] += float(np.add.reduce(x))
-    bound = math.ldexp(float(n) * n, 2 * k - 157)
+        np.add(x, 2.0 ** 13, out=qx)  # sigma
+        qx -= 2.0 ** 13
+        x -= qx
+        whole = x.size - x.size % _ROW
+        for part in (qx, x):
+            sums += np.add.reduce(part[:whole].reshape(-1, _ROW), axis=1).tolist()
+            sums.append(float(np.add.reduce(part[whole:])))
+    bound = math.ldexp(float(n), -80)
     r = math.fsum(sums)
     if math.fsum(sums + [-bound]) == r == math.fsum(sums + [bound]):
         return r

@@ -40,7 +40,8 @@ class ConfigError(ValueError):
 
 def is_integer(value) -> bool:
     """An int or a numpy integer; a bool is neither here, though True == 1."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # The exact-type test first: the ABC check costs about 1 us, and stores build groups often.
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)

@@ -483,7 +483,7 @@ def test_config_rejects_a_variant_that_is_not_a_variant():
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_step_allocates_no_full_size_array(variant):
-    # The certified norm keeps about 1 MB of block buffers whatever the store
+    # The certified norm keeps about 512 KB of block buffers whatever the store
     # size, so the store is large enough (1.6 MB per array) to tell them apart
     # from a temporary of theta's size.
     n = 200_000
@@ -501,6 +501,23 @@ def test_step_allocates_no_full_size_array(variant):
     finally:
         tracemalloc.stop()
     assert peak < g.nbytes, f"{variant.value}: step peaked at {peak} bytes"
+
+
+def test_the_adam_half_reuses_one_pair_of_part_buffers():
+    # Every part's m_hat and v_hat go to the same two part-sized buffers (512 KB):
+    # a new pair per part kept two pairs alive at once, about 1 MB.
+    n = 3 * optim._CHUNK + 7
+    rng = np.random.default_rng(6)
+    store, state, g = one_group_store(rng.normal(size=n)), OptimizerState.zeros(n), rng.normal(size=n)
+    sched, cfg = ScheduleSpec(horizon=10), OptimizerConfig(variant=Variant.NONE)
+    step(store, state, g, 1, sched, cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        step(store, state, g, 2, sched, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * optim._CHUNK * 8, f"the Adam half peaked at {peak} bytes"
 
 
 def test_states_stepped_in_turn_match_each_run_alone():

@@ -141,6 +141,38 @@ def test_groups_must_tile_contiguously():
         ParamStore(np.zeros(4), [ParamGroup("a", 0, 6, True), ParamGroup("b", 6, -2, True)])
 
 
+def test_a_group_of_length_minus_one_is_rejected():
+    # The groups end at 3 == size, so only the length check tells this from a tiling.
+    with pytest.raises(ValueError, match="^group 'b' has negative length$"):
+        ParamStore(np.zeros(3), [ParamGroup("a", 0, 4, True), ParamGroup("b", 4, -1, True)])
+
+
+@pytest.mark.parametrize("offset, length", [
+    (False, True), (0, 4.0), (0.0, 4), (0, np.float64(4)), (0, "4"), (np.bool_(False), 4),
+], ids=["bools", "float-length", "float-offset", "np-float-length", "text-length", "np-bool-offset"])
+def test_group_offset_and_length_must_be_integers(offset, length):
+    # else a bool counted as 0 or 1, and a float length failed late, slicing theta
+    with pytest.raises(TypeError, match="^group 'a': offset and length must be integers"):
+        ParamGroup("a", offset, length)
+    group = ParamGroup("a", np.int64(0), np.int32(4))  # numpy integers are integers
+    store = ParamStore(np.ones(4), [group], initial_norm=1.0)
+    store.scale_controlled(0.5)
+    assert store.controlled_norm() == 1.0
+
+
+@pytest.mark.parametrize("bad", [-1.0, -math.inf, math.nan, -0.5])
+def test_an_explicit_initial_norm_must_be_nonnegative(bad):
+    # else the norm target r_t * initial_norm went negative: norm_ratio() was -2.0 at -1.0
+    with pytest.raises(ValueError, match="^initial_norm must be >= 0, got "):
+        ParamStore(np.array([3.0, 4.0]), [ParamGroup("w", 0, 2)], initial_norm=bad)
+    for good in (0.0, 2.5, math.inf):
+        store = ParamStore(np.array([3.0, 4.0]), [ParamGroup("w", 0, 2)], initial_norm=good)
+        assert store.initial_norm == good
+    # A measured norm is never rejected: a NaN theta's store and its snapshot keep NaN.
+    store = ParamStore(np.array([math.nan, 4.0]), [ParamGroup("w", 0, 2)])
+    assert math.isnan(store.initial_norm) and math.isnan(store.snapshot().initial_norm)
+
+
 # Elements of magnitude 0 or in [1e-3, 1e3]: their squares neither underflow nor
 # overflow, so the store's power-of-two pre-scaling is exact and the norm must
 # equal the naive fsum formula bit for bit.
@@ -223,8 +255,10 @@ def _store_with_controlled(rng, controlled: np.ndarray) -> ParamStore:
 
 @pytest.mark.parametrize("size", [
     params._EXACT_CUTOFF - 1, params._EXACT_CUTOFF, params._EXACT_CUTOFF + 1,
-    1023, 1024,  # n.bit_length() steps from 10 to 11, and the splits with it
-    params._BLOCK - 1, params._BLOCK, params._BLOCK + 1, 3 * params._BLOCK + 7,
+    1023, 1024,
+    params._ROW - 1, params._ROW, params._ROW + 1,  # a short last row, or none
+    params._BLOCK - 1, params._BLOCK, params._BLOCK + 1, params._BLOCK + params._ROW + 1,
+    2 * params._BLOCK - 1, 2 * params._BLOCK, 2 * params._BLOCK + 1, 6 * params._BLOCK + 7,
 ])
 def test_controlled_norm_bitwise_equals_fsum_formula(size):
     rng = np.random.default_rng(size)
@@ -239,6 +273,10 @@ def test_controlled_norm_bitwise_equals_fsum_formula(size):
             x[rng.integers(size)] = top
             store = _store_with_controlled(rng, x)
             assert store.controlled_norm() == _fsum_norm(x), (top, spread)
+    for bottom in (3 * 2.0 ** -1025, 3 * 2.0 ** -1026):  # exp -1023 multiplies, -1024 divides
+        x = rng.uniform(-1.0, 1.0, size) * bottom
+        x[rng.integers(size)] = bottom
+        assert _store_with_controlled(rng, x).controlled_norm() == _fsum_norm(x), bottom
     zeros = _store_with_controlled(rng, np.zeros(size))
     assert zeros.controlled_norm() == 0.0
     for bad, want in (([math.inf], math.inf), ([-math.inf], math.inf),
@@ -272,8 +310,10 @@ def test_exact_tie_reaches_the_fsum_fallback():
     assert params._certified_sum([squares.copy()], squares.size) == math.fsum(squares.tolist())
 
 
-@pytest.mark.parametrize("n", [1, 2, params._EXACT_CUTOFF, 1023, 1024, params._BLOCK,
-                               params._BLOCK + 1, 3 * params._BLOCK + 7])
+@pytest.mark.parametrize("n", [1, 2, params._EXACT_CUTOFF, 1023, 1024, params._ROW - 1,
+                               params._ROW, params._ROW + 1, params._BLOCK, params._BLOCK + 1,
+                               params._BLOCK + params._ROW + 1, 2 * params._BLOCK,
+                               2 * params._BLOCK + 1, 6 * params._BLOCK + 7])
 def test_the_certified_sum_certifies_ordinary_inputs(n):
     # A bound that is too loose would send every call to the slow fsum fallback.
     rng = np.random.default_rng(n)
