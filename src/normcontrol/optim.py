@@ -29,15 +29,12 @@ from enum import Enum
 
 import numpy as np
 
-from .params import ParamStore
+from .params import _CHUNK, ParamStore
 from .schedules import ConfigError, is_integer
 
 # Below this, the controlled vector is treated as zero: any multiple of it is
 # itself, so a norm target > 0 is unreachable and the update is skipped.
 ZERO_NORM_EPS = 1e-30
-# Elements per part of a step's Adam half: a part's g, m, v and theta rows and
-# its m_hat and v_hat (6 x 256 KB) stay in a 2 MB L2 through its 14 array operations.
-_CHUNK = 1 << 15
 
 
 class Variant(Enum):
@@ -179,8 +176,8 @@ def regularize_decay(store: ParamStore, rate: float) -> float:
 def _check_rates(r_t: float, k_t: float) -> None:
     if not 0.0 <= k_t <= 1.0:
         raise ValueError(f"k_t must be in [0, 1], got {k_t}")
-    if not r_t >= 0.0:  # NaN fails too
-        raise ValueError(f"r_t must be >= 0, got {r_t}")
+    if not 0.0 <= r_t < math.inf:  # NaN fails too; at k_t = 0 an infinite r_t blends to NaN
+        raise ValueError(f"r_t must be finite and >= 0, got {r_t}")
 
 
 def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
@@ -256,8 +253,8 @@ def step(
     """
     if g.dtype != np.float64:
         g = g.astype(np.float64, casting="same_kind")  # a complex gradient raises here
-    if t != state.t + 1:
-        raise ValueError(f"step index {t} not consecutive with state.t={state.t}")
+    if not is_integer(t) or t != state.t + 1:  # else True or 1.0 would land in state.t
+        raise ValueError(f"step index {t!r} is not an integer consecutive with state.t={state.t}")
     if not g.shape == state.m.shape == store.theta.shape:
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}"
                          f" or parameter shape {store.theta.shape}")

@@ -193,10 +193,10 @@ class TestNormControl:
             regularize_norm_control(store, 1.0, 1.5)
 
     def test_negative_or_nan_r_rejected(self):
-        for r in (-1.0, math.nan):
+        for r in (-1.0, math.nan, math.inf):  # an infinite r_t at k_t = 0 blended to NaN
             store = one_group_store([3.0, 4.0])
             with pytest.raises(ValueError, match="r_t"):
-                regularize_norm_control(store, r, 0.5)
+                regularize_norm_control(store, r, 0.0 if r == math.inf else 0.5)
             assert list(store.theta) == [3.0, 4.0]
 
     def test_uncontrolled_untouched(self):
@@ -333,8 +333,11 @@ def test_a_float32_gradient_steps_as_its_float64_conversion(variant):
 def test_step_rejects_nonconsecutive_t():
     store = one_group_store([1.0])
     state = OptimizerState.zeros(1)
-    with pytest.raises(ValueError, match="consecutive"):
-        step(store, state, np.array([0.1]), 5, ScheduleSpec(horizon=10), OptimizerConfig())
+    for t in (5, True, 1.0):  # a bool or float index would land in state.t
+        with pytest.raises(ValueError, match="consecutive"):
+            step(store, state, np.array([0.1]), t, ScheduleSpec(horizon=10), OptimizerConfig())
+        assert list(store.theta) == [1.0] and state.t == 0 and type(state.t) is int
+        assert list(state.m) == list(state.v) == [0.0]
 
 
 def test_step_report_fields():
@@ -622,7 +625,8 @@ def test_a_rejected_step_changes_nothing(variant):
                 (rng.normal(size=(6, 1)), sched, good, "gradient shape")]
     if variant is Variant.NORM_CONTROL:
         # A schedule spec rejects these values, so a stand-in serves them.
-        for r, k, message in ((1.5, 1.5, "k_t"), (-1.0, 0.5, "r_t"), (math.nan, 0.5, "r_t")):
+        for r, k, message in ((1.5, 1.5, "k_t"), (-1.0, 0.5, "r_t"), (math.nan, 0.5, "r_t"),
+                              (math.inf, 0.0, "r_t")):
             bad = SimpleNamespace(eta_at=sched.eta_at, rt_at=lambda t, r=r: r,
                                   kt_at=lambda t, k=k: k)
             rejected.append((rng.normal(size=6), bad, good, message))

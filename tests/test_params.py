@@ -89,6 +89,21 @@ def test_snapshot_preserves_initial_norm_bitwise():
     assert copy.initial_norm == store.initial_norm
 
 
+def test_snapshot_copies_theta_once():
+    n = 10**5  # above _EXACT_CUTOFF, and one group is controlled
+    store = ParamStore(np.random.default_rng(3).normal(size=n),
+                       [ParamGroup("w", 0, n // 2), ParamGroup("b", n // 2, n - n // 2, False)])
+    tracemalloc.start()
+    try:
+        copy = store.snapshot()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * store.theta.nbytes, f"snapshot peaked at {peak} bytes"
+    assert copy.groups == store.groups and copy.groups is not store.groups
+    assert copy.controlled_norm() == copy.initial_norm == store.initial_norm
+
+
 def test_initial_norm_frozen_at_construction():
     store = ParamStore(np.array([3.0, 4.0]), [ParamGroup("w", 0, 2, True)])
     before = store.initial_norm
@@ -238,10 +253,14 @@ def _fsum_norm(x: np.ndarray) -> float:
         return math.inf
 
 
-def _store_with_controlled(rng, controlled: np.ndarray) -> ParamStore:
-    """1-8 controlled groups holding `controlled`, with uncontrolled groups between."""
-    n_groups = int(rng.integers(1, min(8, max(controlled.size, 1)) + 1))
-    cuts = np.sort(rng.integers(0, controlled.size + 1, n_groups - 1)).tolist()
+def _store_with_controlled(rng, controlled: np.ndarray, length: int | None = None) -> ParamStore:
+    """Controlled groups holding `controlled`, with uncontrolled groups between:
+    1-8 of them cut at random, or groups of `length` elements each."""
+    if length is None:
+        n_groups = int(rng.integers(1, min(8, max(controlled.size, 1)) + 1))
+        cuts = np.sort(rng.integers(0, controlled.size + 1, n_groups - 1)).tolist()
+    else:
+        cuts = list(range(length, controlled.size, length))
     parts = np.split(controlled, cuts)
     groups, chunks, offset = [], [], 0
     for i, part in enumerate(parts):
@@ -257,33 +276,38 @@ def _store_with_controlled(rng, controlled: np.ndarray) -> ParamStore:
     params._EXACT_CUTOFF - 1, params._EXACT_CUTOFF, params._EXACT_CUTOFF + 1,
     1023, 1024,
     params._ROW - 1, params._ROW, params._ROW + 1,  # a short last row, or none
-    params._BLOCK - 1, params._BLOCK, params._BLOCK + 1, params._BLOCK + params._ROW + 1,
-    2 * params._BLOCK - 1, 2 * params._BLOCK, 2 * params._BLOCK + 1, 6 * params._BLOCK + 7,
+    params._CHUNK - 1, params._CHUNK, params._CHUNK + 1, params._CHUNK + params._ROW + 1,
+    2 * params._CHUNK - 1, 2 * params._CHUNK, 2 * params._CHUNK + 1, 6 * params._CHUNK + 7,
+    # many controlled groups, whose pieces share one block: (groups, elements per group)
+    pytest.param((2000, 1), id="2000x1"), pytest.param((40, 100), id="40x100"),
 ])
 def test_controlled_norm_bitwise_equals_fsum_formula(size):
     rng = np.random.default_rng(size)
+    length = None
+    if isinstance(size, tuple):
+        size, length = size[0] * size[1], size[1]
     for magnitude in (1e-320, 1e-300, 1e-150, 1e-5, 1.0, 1e150, 1e300):
         x = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size) * magnitude
         x[rng.random(size) < 0.2] = 0.0
-        store = _store_with_controlled(rng, x)
+        store = _store_with_controlled(rng, x, length)
         assert store.controlled_norm() == _fsum_norm(x), magnitude
     for top in (2.0 ** 1023, 9e307, 1.7e308):  # frexp's exponent is 1024
         for spread in (1e-10, 1.0):  # the norm is finite, or above the largest double
             x = rng.uniform(-1.0, 1.0, size) * spread * top
             x[rng.integers(size)] = top
-            store = _store_with_controlled(rng, x)
+            store = _store_with_controlled(rng, x, length)
             assert store.controlled_norm() == _fsum_norm(x), (top, spread)
     for bottom in (3 * 2.0 ** -1025, 3 * 2.0 ** -1026):  # exp -1023 multiplies, -1024 divides
         x = rng.uniform(-1.0, 1.0, size) * bottom
         x[rng.integers(size)] = bottom
-        assert _store_with_controlled(rng, x).controlled_norm() == _fsum_norm(x), bottom
-    zeros = _store_with_controlled(rng, np.zeros(size))
+        assert _store_with_controlled(rng, x, length).controlled_norm() == _fsum_norm(x), bottom
+    zeros = _store_with_controlled(rng, np.zeros(size), length)
     assert zeros.controlled_norm() == 0.0
     for bad, want in (([math.inf], math.inf), ([-math.inf], math.inf),
                       ([math.nan], math.nan), ([math.inf, math.nan], math.nan)):
         x = rng.normal(size=size)
         x[rng.choice(size, len(bad), replace=False)] = bad
-        got = _store_with_controlled(rng, x).controlled_norm()
+        got = _store_with_controlled(rng, x, length).controlled_norm()
         assert got == want or (math.isnan(got) and math.isnan(want)), bad
 
 
@@ -311,22 +335,22 @@ def test_exact_tie_reaches_the_fsum_fallback():
 
 
 @pytest.mark.parametrize("n", [1, 2, params._EXACT_CUTOFF, 1023, 1024, params._ROW - 1,
-                               params._ROW, params._ROW + 1, params._BLOCK, params._BLOCK + 1,
-                               params._BLOCK + params._ROW + 1, 2 * params._BLOCK,
-                               2 * params._BLOCK + 1, 6 * params._BLOCK + 7])
+                               params._ROW, params._ROW + 1, params._CHUNK, params._CHUNK + 1,
+                               params._CHUNK + params._ROW + 1, 2 * params._CHUNK,
+                               2 * params._CHUNK + 1, 6 * params._CHUNK + 7])
 def test_the_certified_sum_certifies_ordinary_inputs(n):
     # A bound that is too loose would send every call to the slow fsum fallback.
     rng = np.random.default_rng(n)
     smallest = rng.uniform(0.0, 1e-12, n)  # the least total a store can have:
     smallest[rng.integers(n)] = 0.25       # one square of 1/4, the rest tiny
     for squares in (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n) ** 8, smallest):
-        blocks = [squares[i:i + params._BLOCK].copy() for i in range(0, n, params._BLOCK)]
+        blocks = [squares[i:i + params._CHUNK].copy() for i in range(0, n, params._CHUNK)]
         assert params._certified_sum(blocks, n) == math.fsum(squares.tolist())
 
 
 def test_certified_norm_buffers_fit_the_store():
     # A store just past _EXACT_CUTOFF takes the blockwise path; its buffers
-    # hold what the store needs, not two half-blocks of _BLOCK floats.
+    # hold what the store needs, not two half-blocks of _CHUNK floats.
     n = params._EXACT_CUTOFF
     store = ParamStore(np.random.default_rng(4).normal(size=n), [ParamGroup("w", 0, n)])
     tracemalloc.start()
