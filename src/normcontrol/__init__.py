@@ -11,6 +11,7 @@ from .harness import (
     run,
 )
 from .optim import (
+    EtaTiedKt,
     OptimizerConfig,
     OptimizerState,
     StepReport,
@@ -21,7 +22,6 @@ from .optim import (
 from .params import ParamGroup, ParamStore
 from .schedules import (
     CosineSpec,
-    EtaTiedKt,
     PiecewiseLinearSpec,
     ScheduleSpec,
     parse_schedule_spec,

@@ -310,11 +310,10 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
         except Exception as e:
             trace_b = e  # raised after A's errors, as when A runs first
         list(rt.arrivals())  # A to its end; raises A's error
-    trace_a = RunTrace(rt.rows, math.nan)  # its initial norm is B's, set below
-    replace(config_b_template.schedules, rt=calibrate_rt_from_run(trace_a))  # checks A's rt
+    list(_rt_breakpoints(rt.rows))  # checks A's rows by the calibration rule
     if isinstance(trace_b, Exception):
         raise trace_b
-    trace_a.initial_norm = trace_b.initial_norm  # initialize_run reads only _experiment keys
+    trace_a = RunTrace(rt.rows, trace_b.initial_norm)  # initialize_run reads only _experiment keys
 
     loss_a = {r.t: r.val_loss for r in trace_a.rows}
     rel = [(r.t, r.val_loss / loss_a[r.t]) for r in trace_b.rows

@@ -17,7 +17,7 @@ Every decay is norm control with r_t = 0: ``applied_schedule`` reads r_t and
 k_t from the schedules under NORM_CONTROL only and otherwise uses r_t = 0 and
 k_t = ``OptimizerConfig.decay_rate(eta_t)``, so every regularized variant
 scales the controlled groups through ``regularize_norm_control``. Norm
-control under ``schedules.EtaTiedKt`` reproduces a decay variant bit for bit.
+control under ``EtaTiedKt`` reproduces a decay variant bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .params import _CHUNK, ParamStore
-from .schedules import ConfigError, is_integer
+from .schedules import ConfigError, ScheduleSpec, is_integer
 
 # Below this, the controlled vector is treated as zero: any multiple of it is
 # itself, so a norm target > 0 is unreachable and the update is skipped.
@@ -80,6 +80,28 @@ class OptimizerConfig:
         if self.variant is Variant.COUPLED_SGD:
             return self.weight_decay
         return 0.0
+
+
+@dataclass(frozen=True)
+class EtaTiedKt:
+    """Norm-control schedules that reproduce a weight-decay variant exactly.
+
+    r_t = 0 and k_t = decay_cfg.decay_rate(eta_t), the rate step applies
+    under decay_cfg's variant, so norm control under these schedules matches
+    that variant bit for bit.
+    """
+
+    base: ScheduleSpec
+    decay_cfg: OptimizerConfig
+
+    def eta_at(self, t: int) -> float:
+        return self.base.eta_at(t)
+
+    def rt_at(self, t: int) -> float:
+        return 0.0
+
+    def kt_at(self, t: int) -> float:
+        return self.decay_cfg.decay_rate(self.base.eta_at(t))
 
 
 @dataclass(eq=False)  # arrays have no truth value, so == is identity
@@ -164,20 +186,13 @@ def adam_param_update(
     theta -= m_hat
 
 
-def regularize_decay(store: ParamStore, rate: float) -> float:
-    """Multiplicative decay theta *= (1 - rate) on controlled groups only; returns 1 - rate."""
-    if not 0.0 <= rate <= 1.0:  # NaN fails too; a rate above 1 would flip the signs
-        raise ValueError(f"decay rate must be in [0, 1], got {rate}")
-    factor = 1.0 - rate
-    store.scale_controlled(factor)
-    return factor
-
-
-def _check_rates(r_t: float, k_t: float) -> None:
-    if not 0.0 <= k_t <= 1.0:
+def _check_rates(r_t: float, k_t: float, initial_norm: float) -> None:
+    if not 0.0 <= k_t <= 1.0:  # NaN fails too; a rate above 1 would flip the signs
         raise ValueError(f"k_t must be in [0, 1], got {k_t}")
     if not 0.0 <= r_t < math.inf:  # NaN fails too; at k_t = 0 an infinite r_t blends to NaN
         raise ValueError(f"r_t must be finite and >= 0, got {r_t}")
+    if r_t > 0.0 and not math.isfinite(r_t * initial_norm):  # decay (r_t = 0) has no target
+        raise ValueError(f"norm target {r_t} * initial_norm {initial_norm} is not finite")
 
 
 def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
@@ -186,25 +201,31 @@ def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
     The target is r_t * ||theta_0||. The controlled vector is scaled by the
     convex blend (1 - k_t) + k_t * target/norm, so the resulting norm is
     exactly (1 - k_t) * norm + k_t * target in real arithmetic, and k_t = 1
-    projects straight onto the target. r_t = 0 reduces to plain decay with no
-    division and no norm measurement. A (near) zero controlled norm is left as
-    it is, with a warning, and the factor returned is 1.0.
+    projects straight onto the target. r_t = 0 is decay, theta *= 1 - k_t, with
+    no division and no norm measurement. A (near) zero controlled norm is left
+    as it is, with a warning, and the factor returned is 1.0.
     """
-    _check_rates(r_t, k_t)
+    _check_rates(r_t, k_t, store.initial_norm)
     if r_t == 0.0:
-        return regularize_decay(store, k_t)
-    n = store.controlled_norm()
-    if n < ZERO_NORM_EPS:
-        # The zero vector is a fixed point of any rescaling; nothing to do.
-        warnings.warn(
-            "norm control skipped: controlled norm is (near) zero, target unreachable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1.0
-    factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n)
+        factor = 1.0 - k_t
+    else:
+        n = store.controlled_norm()
+        if n < ZERO_NORM_EPS:
+            # The zero vector is a fixed point of any rescaling; nothing to do.
+            warnings.warn(
+                "norm control skipped: controlled norm is (near) zero, target unreachable",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return 1.0
+        factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n)
     store.scale_controlled(factor)
     return factor
+
+
+def regularize_decay(store: ParamStore, rate: float) -> float:
+    """Multiplicative decay theta *= (1 - rate) on controlled groups only; returns 1 - rate."""
+    return regularize_norm_control(store, 0.0, rate)
 
 
 def sgd_step_coupled_decay(store: ParamStore, g: np.ndarray, alpha: float,
@@ -259,7 +280,7 @@ def step(
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}"
                          f" or parameter shape {store.theta.shape}")
     eta_t, r_t, k_t = applied_schedule(sched, cfg, t)
-    _check_rates(r_t, k_t)  # what the regularizer checks; NONE's (0, 0) passes
+    _check_rates(r_t, k_t, store.initial_norm)  # what the regularizer checks; NONE's (0, 0) passes
     # Nothing has changed yet, so a step rejected above leaves state and store as they were.
     state.t = t
 

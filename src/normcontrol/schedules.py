@@ -20,10 +20,6 @@ import numbers
 import re
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .optim import OptimizerConfig
 
 
 class ConfigError(ValueError):
@@ -162,28 +158,6 @@ class ScheduleSpec:
 
     def kt_at(self, t: int) -> float:
         return self.kt.value_at(t)
-
-
-@dataclass(frozen=True)
-class EtaTiedKt:
-    """Norm-control schedules that reproduce a weight-decay variant exactly.
-
-    r_t = 0 and k_t = decay_cfg.decay_rate(eta_t), the rate optim.step
-    applies under decay_cfg's variant, so norm control under these schedules
-    matches that variant bit for bit.
-    """
-
-    base: ScheduleSpec
-    decay_cfg: OptimizerConfig
-
-    def eta_at(self, t: int) -> float:
-        return self.base.eta_at(t)
-
-    def rt_at(self, t: int) -> float:
-        return 0.0
-
-    def kt_at(self, t: int) -> float:
-        return self.decay_cfg.decay_rate(self.base.eta_at(t))
 
 
 _ASSIGN_RE = re.compile(r"^(\w+)\s*=\s*(.+)$")

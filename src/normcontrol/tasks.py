@@ -237,8 +237,8 @@ def finite_diff_check(task, theta: np.ndarray, batch, h: float = 1e-5,
     Relative error per coordinate uses max(1, |analytic|, |numeric|) as the
     denominator so tiny gradient entries are judged on absolute error.
     """
-    if h <= 0.0:
-        raise ValueError("finite-difference step h must be > 0")
+    if not 0.0 < h < math.inf:  # NaN fails too; a NaN or infinite h would make the check read NaN
+        raise ValueError(f"finite-difference step h must be finite and > 0, got {h}")
     _, grad = task.loss_and_grad(theta, batch)
     if not np.isfinite(grad).all():
         return math.nan  # a non-finite entry fails the check, sampled or not

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .optim import OptimizerConfig, OptimizerState, Variant
+from .optim import EtaTiedKt, OptimizerConfig, OptimizerState, Variant
 from .params import ParamGroup, ParamStore
 from .schedules import (
     CosineSpec,
-    EtaTiedKt,
     PiecewiseLinearSpec,
     ScheduleSpec,
     cosine_value,

@@ -14,6 +14,7 @@ import pytest
 
 from normcontrol.harness import RunConfig, compare, parse_run_config, run, schedule_table_csv
 from normcontrol.optim import (
+    EtaTiedKt,
     OptimizerConfig,
     OptimizerState,
     Variant,
@@ -25,7 +26,6 @@ from normcontrol.optim import (
 from normcontrol.params import ParamGroup, ParamStore
 from normcontrol.schedules import (
     CosineSpec,
-    EtaTiedKt,
     PiecewiseLinearSpec,
     ScheduleSpec,
     cosine_value,

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from normcontrol.schedules import (
 )
 
 EPS = np.finfo(np.float64).eps
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_config(task="quadratic", variant=Variant.NONE, T=300, eval_every=50,
@@ -284,6 +286,20 @@ class TestCompare:
         assert [r.t for r in report.trace_b.rows] == [r.t for r in report.trace_a.rows]
         assert ([r.r_t for r in report.trace_b.rows]
                 == [r.norm_ratio for r in report.trace_a.rows])
+
+    def test_the_reference_error_comes_before_its_calibration_error(self, monkeypatch):
+        # A running first would raise its own error before its rows were calibrated.
+        def reference_rows(config):
+            yield TraceRow(50, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # norm_ratio 0
+            raise FloatingPointError("non-finite training loss nan")
+
+        monkeypatch.setattr(harness, "_reference_rows", reference_rows)
+        a, b = (parse_run_config((CONFIGS_DIR / name).read_text())
+                for name in ("mlp_adamw.cfg", "mlp_norm_control.cfg"))
+        for allowed in FORK_GATES:  # A in a forked child, then in this process
+            with fork_gate(allowed), pytest.raises(FloatingPointError, match="training loss"):
+                compare(a, b)
+            assert multiprocessing.active_children() == []
 
     def test_decay_equivalent_norm_control_gives_identical_losses(self):
         # with a flat eta schedule, k_t = eta * alpha0 * lam is a constant

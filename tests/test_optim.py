@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from normcontrol import optim
 from normcontrol.optim import (
+    EtaTiedKt,
     OptimizerConfig,
     OptimizerState,
     Variant,
@@ -24,7 +25,6 @@ from normcontrol.params import ParamGroup, ParamStore
 from normcontrol.schedules import (
     ConfigError,
     CosineSpec,
-    EtaTiedKt,
     PiecewiseLinearSpec,
     ScheduleSpec,
 )
@@ -151,7 +151,7 @@ class TestRegularizeDecay:
         # NaN would turn the weights into NaN, a rate above 1 flip their signs
         for rate in (math.nan, 1.5, -0.1):
             store = one_group_store([2.0, -2.0])
-            with pytest.raises(ValueError, match=r"^decay rate must be in \[0, 1\], got"):
+            with pytest.raises(ValueError, match=r"^k_t must be in \[0, 1\], got"):
                 regularize_decay(store, rate)
             assert list(store.theta) == [2.0, -2.0]
 
@@ -198,6 +198,15 @@ class TestNormControl:
             with pytest.raises(ValueError, match="r_t"):
                 regularize_norm_control(store, r, 0.0 if r == math.inf else 0.5)
             assert list(store.theta) == [3.0, 4.0]
+
+    def test_non_finite_norm_target_rejected(self):
+        # an infinite initial norm blended [1, 0, 2] to [inf, nan, inf]; a NaN one gave NaN
+        for store in (one_group_store([1.0, 0.0, 2.0], initial_norm=math.inf),
+                      one_group_store([math.nan, 4.0])):
+            before = store.theta.copy()
+            with pytest.raises(ValueError, match="^norm target "):
+                regularize_norm_control(store, 1.0, 0.5)
+            assert np.array_equal(store.theta, before, equal_nan=True)
 
     def test_uncontrolled_untouched(self):
         store = mixed_store([3.0, 4.0], [7.0])
@@ -626,7 +635,7 @@ def test_a_rejected_step_changes_nothing(variant):
     if variant is Variant.NORM_CONTROL:
         # A schedule spec rejects these values, so a stand-in serves them.
         for r, k, message in ((1.5, 1.5, "k_t"), (-1.0, 0.5, "r_t"), (math.nan, 0.5, "r_t"),
-                              (math.inf, 0.0, "r_t")):
+                              (math.inf, 0.0, "r_t"), (1e308, 0.5, "norm target")):
             bad = SimpleNamespace(eta_at=sched.eta_at, rt_at=lambda t, r=r: r,
                                   kt_at=lambda t, k=k: k)
             rejected.append((rng.normal(size=6), bad, good, message))

@@ -39,7 +39,8 @@ def test_every_function_the_benchmark_traces_exists():
 
 
 def test_the_benchmark_workloads_run_on_the_package(tmp_path):
-    # small store_1m and verify_suite: every call the benchmark makes into the package still works
+    # small store_1m and verify_suite, and mlp_compare: every call the benchmark makes into the
+    # package still works
     workloads = _benchmark_module("workloads")
 
     class Store(workloads.Store1m):
@@ -51,7 +52,7 @@ def test_the_benchmark_workloads_run_on_the_package(tmp_path):
     class Suite(workloads.VerifySuite):
         CASES = 5
 
-    for workload in (Store, LargeStore, Suite):
+    for workload in (Store, LargeStore, Suite, workloads.MlpCompare):
         built = workload(normcontrol, workload.inputs(0, ROOT, tmp_path))
         assert built.op_ok(built.op()), workload
         assert [(name, detail) for name, ok, detail in built.checks() if not ok] == []

@@ -252,10 +252,13 @@ class TestFiniteDiff:
         assert math.isnan(err)
 
     def test_invalid_h(self):
+        # a NaN or infinite h made the check read NaN, which check-grad blamed on the gradient
         rng = np.random.default_rng(9)
         task = QuadraticTask(3, rng)
-        with pytest.raises(ValueError, match="h"):
-            finite_diff_check(task, task.init_theta(rng), task.sample_batch(rng, 4), h=0.0)
+        for h in (0.0, -1e-5, math.nan, math.inf):
+            message = rf"^finite-difference step h must be finite and > 0, got {h}$"
+            with pytest.raises(ValueError, match=message):
+                finite_diff_check(task, task.init_theta(rng), task.sample_batch(rng, 4), h=h)
 
 
 def test_build_task_names():
