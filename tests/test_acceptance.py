@@ -7,6 +7,7 @@ lines and timings.
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,32 @@ def test_criterion_5_val_loss_gate_on_shipped_configs(seed):
     loss_rel = abs(report.final_val_loss_b - report.final_val_loss_a) / abs(report.final_val_loss_a)
     assert loss_rel <= 0.05, f"seed {seed}: val loss rel diff {loss_rel:.4f} (tol 0.05)"
     assert report.ratio_gap <= 0.05 * report.final_ratio_a
+
+
+def test_claim_a_projection_lands_on_the_reference_norm_ratio():
+    """With kt = const(1), B's norm ratio at each of A's eval rows is A's, r, up to roundings.
+
+    There B's r_t is r exactly (a breakpoint), and k_t = 1 scales the controlled
+    elements by f = fl(fl(r * n0) / n): the norm target over the norm n, two
+    roundings. Each scaled element rounds once, and a norm within (1 +- u)^2 of
+    the exact one: the rounded squares and their fsum, under the sqrt, count as
+    one factor, the sqrt as another. B logs fl(N / n0), one more rounding, of
+    the norm N after the step. So N / n0 is r times six factors of (1 +- u) (two
+    in f, one in the elements, two in N, one in the division) over two (in n).
+    """
+    config_a, template_b = (parse_run_config((CONFIGS_DIR / name).read_text())
+                            for name in ("mlp_adamw.cfg", "mlp_norm_control.cfg"))
+    template_b = replace(template_b, schedules=replace(template_b.schedules,
+                                                       kt=PiecewiseLinearSpec.const(1.0)))
+    report = compare(config_a, template_b)
+    u = Fraction(1, 2**53)
+    lo, hi = (1 - u)**6 / (1 + u)**2, (1 + u)**6 / (1 - u)**2
+    rows_a, rows_b = report.trace_a.rows, report.trace_b.rows
+    assert [a.t for a in rows_a] == [b.t for b in rows_b] and len(rows_a) == 60
+    for a, b in zip(rows_a, rows_b):
+        assert b.r_t == a.norm_ratio and b.k_t == 1.0, b
+        assert lo <= Fraction(b.norm_ratio) / Fraction(a.norm_ratio) <= hi, (a, b)
+
 
 def test_criterion_6_schedule_endpoints():
     t0 = time.perf_counter()

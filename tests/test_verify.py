@@ -253,13 +253,39 @@ def test_property_suite_takes_numpy_integers():
 
 
 class TestTwoProcesses:
-    """property_suite with its odd-numbered checks in a forked child, and without."""
+    """property_suite with the child's share of its checks (the odd-numbered ones and
+    the oracle trajectory, 16) in a forked child, and without."""
 
     def test_the_fork_gate_needs_all_three_conditions(self):
         assert verify._fork_allowed(["fork", "spawn", "forkserver"], 2, (3, 11, 7))
         assert not verify._fork_allowed(["spawn"], 2, (3, 11, 7))
         assert not verify._fork_allowed(["fork", "spawn"], 1, (3, 11, 7))
         assert not verify._fork_allowed(["fork", "spawn"], 8, (3, 12, 0))
+
+    def test_each_check_runs_once_and_the_child_runs_the_same_ones(self, forks):
+        receive, send = multiprocessing.Pipe(duplex=False)
+        check_results = verify._check_results
+
+        def recorded(checks, seed, indices):  # here, and in the child it inherits
+            for i, result in check_results(checks, seed, indices):
+                send.send((i, os.getpid()))
+                yield i, result
+
+        forks.setattr(verify, "_check_results", recorded)
+        shares = []
+        with receive, send:
+            for seed in (0, 1):
+                property_suite(seed, 1)
+                runs = []
+                while receive.poll():  # the child sent each record before its result
+                    runs.append(receive.recv())
+                assert sorted(i for i, _ in runs) == list(range(20))  # each index once
+                ours = {i for i, pid in runs if pid == os.getpid()}
+                theirs = {i for i, pid in runs if pid != os.getpid()}
+                assert len({pid for _, pid in runs}) == 2
+                assert ours | theirs == set(range(20)) and 0 in ours and min(theirs) == 1
+                shares.append(theirs)
+        assert shares[0] == shares[1]
 
     @pytest.mark.parametrize("cases", [1, 20, 300])
     def test_the_report_is_the_same_in_one_process(self, forks, cases):
