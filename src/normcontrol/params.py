@@ -16,9 +16,12 @@ import numpy as np
 
 from .schedules import is_integer
 
-# Stores with fewer controlled elements than this sum their scaled squares
-# with math.fsum directly, which is faster there than the certified sum.
+# Stores with fewer controlled elements than _EXACT_CUTOFF gather them in one array.
+# Its scaled squares go to math.fsum below _FSUM_MAX elements and to one certified
+# extraction from there on: per sum, 3.8 against 5.5 us at 144, 7.5 against 5.5 at
+# 256 (timeit, one BLAS thread, 2-vCPU VM); the two cross near 190.
 _EXACT_CUTOFF = 1000
+_FSUM_MAX = 256
 # Elements per part of every streamed pass over a large store, measured best for both:
 # the Adam half keeps a part's g, m, v, theta, m_hat and v_hat (6 x 256 KB) in a 2 MB L2
 # through its 14 array operations, and the norm's two block buffers take 512 KB.
@@ -89,16 +92,20 @@ class ParamStore:
         does not depend on blocking and is bit-reproducible; equality-style
         invariants rely on it.
 
-        Below ``_EXACT_CUTOFF`` elements that formula is what runs. From
-        there on the scaled squares are summed blockwise in numpy by one
-        error-free extraction (see ``_certified_sum``): per row of ``_ROW``
-        elements, an exact sum and a float sum of the leftovers, which are
-        within n * 2**-80 of the exact sum T all together. Their rounded
-        total is returned only if it minus and plus that bound round to the
-        same double, which is then the double nearest T, fsum's value.
-        Otherwise (an exact tie, say) fsum runs over the same squares. Blocks
-        pack whole pieces of at most ``_CHUNK`` elements (``_scaled_squares``),
-        so the temporary memory is about two blocks of ``_CHUNK`` floats.
+        Three ranges of controlled elements compute it. Below ``_FSUM_MAX``
+        that formula is what runs, over one gathered array. From
+        ``_FSUM_MAX`` to ``_EXACT_CUTOFF`` the gathered squares go to
+        ``_certified_sum`` as one block. From ``_EXACT_CUTOFF`` on nothing is
+        gathered: the scaled squares are made and summed blockwise. The
+        certified sum is one error-free extraction in numpy: per row of
+        ``_ROW`` elements, an exact sum and a float sum of the leftovers,
+        which are within n * 2**-80 of the exact sum T all together. Their
+        rounded total is returned only if it minus and plus that bound round
+        to the same double, which is then the double nearest T, fsum's value.
+        Otherwise (an exact tie, say) fsum runs over the unextracted squares.
+        Large-store blocks pack whole pieces of at most ``_CHUNK`` elements
+        (``_scaled_squares``), so the temporary memory is about two blocks of
+        ``_CHUNK`` floats.
         """
         if self._gather is not None:
             y = np.abs(self.theta[self._gather])
@@ -115,7 +122,10 @@ class ParamStore:
         if self._gather is not None:
             op(y, c, out=y)
             y *= y
-            total = math.fsum(y.tolist())
+            # The extraction overwrites its block, so a fallback sums the untouched y.
+            total = _certified_sum((y.copy(),), y.size) if y.size >= _FSUM_MAX else None
+            if total is None:
+                total = math.fsum(y.tolist())
         else:
             n = sum(v.size for v in views)
             total = _certified_sum(_scaled_squares(views, op, c, n), n)
@@ -199,7 +209,8 @@ def _certified_sum(blocks, n: int) -> float | None:
     fails and None tells the caller to use math.fsum.
 
     Each block is a float64 array of at most min(n, _CHUNK) elements; the
-    extraction overwrites it.
+    extraction overwrites it. A gathered store of fewer than _EXACT_CUTOFF
+    elements passes one block, a single partial row, under the same bound.
     """
     q = np.empty(min(n, _CHUNK))
     sums = []
@@ -210,7 +221,8 @@ def _certified_sum(blocks, n: int) -> float | None:
         x -= qx
         whole = x.size - x.size % _ROW
         for part in (qx, x):
-            sums += np.add.reduce(part[:whole].reshape(-1, _ROW), axis=1).tolist()
+            if whole:
+                sums += np.add.reduce(part[:whole].reshape(-1, _ROW), axis=1).tolist()
             sums.append(float(np.add.reduce(part[whole:])))
     bound = math.ldexp(float(n), -80)
     r = math.fsum(sums)

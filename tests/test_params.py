@@ -273,6 +273,7 @@ def _store_with_controlled(rng, controlled: np.ndarray, length: int | None = Non
 
 
 @pytest.mark.parametrize("size", [
+    params._FSUM_MAX - 1, params._FSUM_MAX, params._FSUM_MAX + 1,  # fsum, then the extraction
     params._EXACT_CUTOFF - 1, params._EXACT_CUTOFF, params._EXACT_CUTOFF + 1,
     1023, 1024,
     params._ROW - 1, params._ROW, params._ROW + 1,  # a short last row, or none
@@ -334,8 +335,21 @@ def test_exact_tie_reaches_the_fsum_fallback():
     assert params._certified_sum([squares.copy()], squares.size) == math.fsum(squares.tolist())
 
 
-@pytest.mark.parametrize("n", [1, 2, params._EXACT_CUTOFF, 1023, 1024, params._ROW - 1,
-                               params._ROW, params._ROW + 1, params._CHUNK, params._CHUNK + 1,
+@pytest.mark.parametrize("n", [params._FSUM_MAX, params._EXACT_CUTOFF - 1])
+def test_exact_tie_on_the_gathered_path_sums_the_untouched_squares(n):
+    # The tie above, in one gathered block: the extraction fails to certify it
+    # and has overwritten its block, so fsum must run over the squares themselves.
+    x = np.zeros(n)
+    x[0], x[1], x[2] = 0.5, 2.0**-28, 2.0**-28
+    squares = x * x
+    assert params._certified_sum((squares.copy(),), n) is None
+    for store in _small_stores(x):
+        assert store.controlled_norm() == 0.5
+
+
+@pytest.mark.parametrize("n", [1, 2, params._FSUM_MAX, params._EXACT_CUTOFF, 1023, 1024,
+                               params._ROW - 1, params._ROW, params._ROW + 1,
+                               params._CHUNK, params._CHUNK + 1,
                                params._CHUNK + params._ROW + 1, 2 * params._CHUNK,
                                2 * params._CHUNK + 1, 6 * params._CHUNK + 7])
 def test_the_certified_sum_certifies_ordinary_inputs(n):
@@ -448,11 +462,14 @@ def _magnitude_inputs(n: int):
 @pytest.mark.parametrize("inputs, n", [
     pytest.param(_threshold_inputs, 1, id="threshold-1"),
     pytest.param(_threshold_inputs, 2, id="threshold-2"),
+    pytest.param(_threshold_inputs, params._FSUM_MAX, id="threshold-256"),
     pytest.param(_threshold_inputs, params._EXACT_CUTOFF - 1, id="threshold-999"),
     pytest.param(_spread_tie_inputs, 3, id="spread_tie-3"),
     pytest.param(_special_inputs, 1, id="special-1"),
+    pytest.param(_special_inputs, params._FSUM_MAX, id="special-256"),
     pytest.param(_special_inputs, params._EXACT_CUTOFF - 1, id="special-999"),
     pytest.param(_magnitude_inputs, 1, id="magnitude-1"),
+    pytest.param(_magnitude_inputs, params._FSUM_MAX, id="magnitude-256"),
     pytest.param(_magnitude_inputs, params._EXACT_CUTOFF - 1, id="magnitude-999"),
 ])
 def test_a_small_store_norm_is_the_formula(inputs, n):
@@ -463,6 +480,17 @@ def test_a_small_store_norm_is_the_formula(inputs, n):
         for store in _small_stores(x):
             got = store.controlled_norm()
             assert got == want or (math.isnan(got) and math.isnan(want)), x[:3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(params._FSUM_MAX - 2, params._EXACT_CUTOFF - 1), st.integers(0, 2**32 - 1),
+       st.integers(-320, 300))
+def test_a_gathered_store_norm_is_the_formula_across_the_crossover(n, seed, magnitude):
+    rng = np.random.default_rng(seed)
+    with np.errstate(under="ignore"):
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n) * 10.0 ** magnitude
+    x[rng.random(n) < 0.2] = 0.0
+    assert _store_with_controlled(rng, x).controlled_norm() == _fsum_norm(x), magnitude
 
 
 def test_a_large_store_builds_no_gather_index():
