@@ -125,7 +125,7 @@ class ParamStore:
             # The extraction overwrites its block, so a fallback sums the untouched y.
             total = _certified_sum((y.copy(),), y.size) if y.size >= _FSUM_MAX else None
             if total is None:
-                total = math.fsum(y.tolist())
+                total = math.fsum(memoryview(y))
         else:
             n = sum(v.size for v in views)
             total = _certified_sum(_scaled_squares(views, op, c, n), n)

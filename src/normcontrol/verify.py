@@ -75,14 +75,13 @@ def _controlled_flags(store: ParamStore) -> np.ndarray:
 
 
 def oracle_from_store(store: ParamStore, state: OptimizerState | None = None) -> OracleState:
-    theta = [float(x) for x in store.theta]
+    theta = store.theta.tolist()
     controlled = _controlled_flags(store).tolist()
     if state is None:
         t, m, v = 0, [0.0] * len(theta), [0.0] * len(theta)
     else:
         t = state.t
-        m = [float(x) for x in state.m]
-        v = [float(x) for x in state.v]
+        m, v = state.m.tolist(), state.v.tolist()
     return OracleState(
         t=t, theta=theta, m=m, v=v, controlled=controlled,
         initial_norm=oracle_controlled_norm(theta, controlled),
@@ -386,11 +385,12 @@ def _oracle_single_step_check(rng: np.random.Generator, variant: Variant) -> str
 
     if not np.isfinite(np.concatenate((store.theta, state.m, state.v))).all():
         return f"non-finite production output (dim={dim}, variant={variant.value})"
+    theta = store.theta.tolist()
     for i in range(dim):
         if not math.isfinite(oracle.theta[i]):
             return f"non-finite oracle output at {i}"
-        if not _close(float(store.theta[i]), oracle.theta[i], 1e-13):
-            return (f"theta[{i}]: production {float(store.theta[i])!r} vs oracle "
+        if not _close(theta[i], oracle.theta[i], 1e-13):
+            return (f"theta[{i}]: production {theta[i]!r} vs oracle "
                     f"{oracle.theta[i]!r} (dim={dim}, t={t_prev + 1}, variant={variant.value})")
     return None
 
