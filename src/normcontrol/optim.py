@@ -138,52 +138,56 @@ class StepReport:
 
 
 def adam_moment_update(
-    m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, cfg: OptimizerConfig, out=(None, None),
+    m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, cfg: OptimizerConfig, out=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Update the moments m and v in place for step t; return bias-corrected m_hat, v_hat.
+    """Update the moments m and v in place for step t; return the pair the parameter update reads.
 
-    m, v and g are float64 arrays of one shape, and t >= 1. At t == 1 the
-    correction cancels algebraically (m = (1-b1)g, divisor 1-b1), so the
-    divide is skipped to keep m_hat == g and v_hat == g*g bitwise. The
-    returned arrays are new, or the pair ``out`` of g's shape written over,
-    and also hold the (1-b1)g and (1-b2)g*g terms on the way.
+    m, v and g are float64 arrays of one shape, and t >= 1. The pair is (m, v),
+    whose bias corrections ``adam_param_update`` applies. At t == 1 the
+    correction cancels algebraically (m = (1-b1)g, divisor 1-b1), so the pair
+    is (g, g*g) under unit corrections, to keep m_hat == g and v_hat == g*g
+    bitwise. ``out``, a new array if None, else one of g's shape written over,
+    holds the (1-b1)g and (1-b2)g*g terms on the way, and g*g at t == 1.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, incremented for the current step, got {t}")
     if g.shape != m.shape or v.shape != m.shape:
         raise ValueError(f"gradient shape {g.shape} != moment shapes {m.shape}, {v.shape}")
-    m_hat = np.multiply(g, 1.0 - cfg.beta1, out=out[0])
+    term = np.multiply(g, 1.0 - cfg.beta1, out=out)
     m *= cfg.beta1
-    m += m_hat
-    v_hat = np.square(g, out=out[1])
-    v_hat *= 1.0 - cfg.beta2
+    m += term
+    np.square(g, out=term)
+    term *= 1.0 - cfg.beta2
     v *= cfg.beta2
-    v += v_hat
+    v += term
     if t == 1:
-        m_hat[...] = g
-        np.square(g, out=v_hat)
-    else:
-        np.divide(m, 1.0 - cfg.beta1**t, out=m_hat)
-        np.divide(v, 1.0 - cfg.beta2**t, out=v_hat)
-    return m_hat, v_hat
+        return g, np.square(g, out=term)
+    return m, v
 
 
 def adam_param_update(
-    theta: np.ndarray, m_hat: np.ndarray, v_hat: np.ndarray, eta_t: float, cfg: OptimizerConfig,
+    theta: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, eta_t: float, cfg: OptimizerConfig,
+    out=None,
 ) -> None:
     """theta -= eta_t * alpha * m_hat / (sqrt(v_hat) + eps), in place.
 
-    theta, m_hat and v_hat are float64 arrays of one shape. Works in place on
-    the m_hat and v_hat it is given, which hold temporaries afterwards; the
-    order of operations is that of the formula.
+    m and v are the pair ``adam_moment_update`` returned for step t, and
+    m_hat = m / c1, v_hat = v / c2 with c1 = 1 - b1**t, c2 = 1 - b2**t, or
+    c1 = c2 = 1 at t == 1. This is Kingma & Ba's reordered form ("Adam",
+    arXiv 1412.6980, section 2) with eps rescaled by s = sqrt(c2):
+    theta -= (eta_t * alpha * s / c1) * m / (sqrt(v) + eps * s), one divide
+    per element. It equals the formula in exact arithmetic, not in its order
+    of operations. ``out``, a new array if None, else one of theta's shape
+    written over (v itself at t == 1), holds the update on the way.
     """
-    if m_hat.shape != theta.shape or v_hat.shape != theta.shape:
+    if m.shape != theta.shape or v.shape != theta.shape:
         raise ValueError("moment shapes do not match parameter vector")
-    m_hat *= eta_t * cfg.alpha
-    np.sqrt(v_hat, out=v_hat)
-    v_hat += cfg.epsilon
-    m_hat /= v_hat
-    theta -= m_hat
+    c1, s = (1.0, 1.0) if t == 1 else (1.0 - cfg.beta1**t, math.sqrt(1.0 - cfg.beta2**t))
+    update = np.sqrt(v, out=out)
+    update += cfg.epsilon * s
+    np.divide(m, update, out=update)
+    update *= eta_t * cfg.alpha * s / c1
+    theta -= update
 
 
 def _check_rates(r_t: float, k_t: float, initial_norm: float) -> None:
@@ -292,16 +296,16 @@ def step(
         # each part's rows are still in L2 for its parameter update. The kernels are
         # elementwise: the parts give the bits of one whole-vector call.
         theta, m, v = store.theta, state.m, state.v
+        part = np.empty(min(g.size, _CHUNK))  # each part's temporary in turn
         if g.size <= _CHUNK:
-            m_hat, v_hat = adam_moment_update(m, v, g, t, cfg)
-            adam_param_update(theta, m_hat, v_hat, eta_t, cfg)
+            m_t, v_t = adam_moment_update(m, v, g, t, cfg, part)
+            adam_param_update(theta, m_t, v_t, t, eta_t, cfg, part)
         else:
-            hats = np.empty((2, _CHUNK))  # each part's m_hat and v_hat in turn
             for i in range(0, g.size, _CHUNK):
                 j = min(i + _CHUNK, g.size)
-                m_hat, v_hat = adam_moment_update(m[i:j], v[i:j], g[i:j], t, cfg, hats[:, :j - i])
-                adam_param_update(theta[i:j], m_hat, v_hat, eta_t, cfg)
-        hats = m_hat = v_hat = None  # else held through the norm's peak
+                m_t, v_t = adam_moment_update(m[i:j], v[i:j], g[i:j], t, cfg, part[:j - i])
+                adam_param_update(theta[i:j], m_t, v_t, t, eta_t, cfg, part[:j - i])
+        part = m_t = v_t = None  # else held through the norm's peak
         scale = 1.0 if cfg.variant is Variant.NONE else regularize_norm_control(store, r_t, k_t)
 
     # Positional arguments: keywords make a small store's step measurably slower.

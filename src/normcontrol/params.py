@@ -23,8 +23,8 @@ from .schedules import is_integer
 _EXACT_CUTOFF = 1000
 _FSUM_MAX = 256
 # Elements per part of every streamed pass over a large store, measured best for both:
-# the Adam half keeps a part's g, m, v, theta, m_hat and v_hat (6 x 256 KB) in a 2 MB L2
-# through its 14 array operations, and the norm's two block buffers take 512 KB.
+# the Adam half keeps a part's g, m, v, theta and its temporary (5 x 256 KB) in a 2 MB L2
+# through its 12 array operations, and the norm's two block buffers take 512 KB.
 _CHUNK = 1 << 15
 _ROW = 1 << 12  # elements per row of the certified sum, whose row sums go to fsum
 

@@ -328,13 +328,21 @@ def _check_direction_preserved(rng: np.random.Generator) -> str | None:
 
 
 def _check_bias_correction(rng: np.random.Generator) -> str | None:
+    """At t=1 the moment update passes on g and g*g, and the parameter update
+    applies them as a config whose corrections are exactly 1 (beta1 = beta2 = 0)."""
     dim = int(rng.integers(1, 65))
     g = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
     cfg = OptimizerConfig(beta1=float(rng.uniform(0.0, 0.999)),
                           beta2=float(rng.uniform(0.0, 0.9999)))
-    m_hat, v_hat = optim.adam_moment_update(np.zeros(dim), np.zeros(dim), g, 1, cfg)
-    if not (np.array_equal(m_hat, g) and np.array_equal(v_hat, g * g)):
+    m_t, v_t = optim.adam_moment_update(np.zeros(dim), np.zeros(dim), g, 1, cfg)
+    if not (np.array_equal(m_t, g) and np.array_equal(v_t, g * g)):
         return f"dim={dim} beta1={cfg.beta1}: m_hat or v_hat not exactly g, g^2"
+    theta = rng.normal(size=dim)
+    unit = theta.copy()
+    optim.adam_param_update(theta, m_t, v_t, 1, 1.0, cfg)
+    optim.adam_param_update(unit, g, g * g, 2, 1.0, OptimizerConfig(beta1=0.0, beta2=0.0))
+    if not np.array_equal(theta, unit):
+        return f"dim={dim} beta1={cfg.beta1} beta2={cfg.beta2}: t=1 update is not the uncorrected one"
     return None
 
 

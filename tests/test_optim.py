@@ -1,6 +1,7 @@
 import contextlib
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,9 +69,10 @@ class TestMomentUpdate:
         state.t = 1
         adam_moment_update(state.m, state.v, g, state.t, cfg)
         state.t = 2
-        m_hat, _ = adam_moment_update(state.m, state.v, g, state.t, cfg)
+        m_t, _ = adam_moment_update(state.m, state.v, g, state.t, cfg)
+        assert m_t is state.m  # the parameter update applies the bias correction
         assert state.m[0] == pytest.approx(0.19, rel=1e-15)
-        assert m_hat[0] == pytest.approx(1.0, rel=1e-14)
+        assert m_t[0] / (1.0 - cfg.beta1**2) == pytest.approx(1.0, rel=1e-14)
 
     def test_requires_incremented_t(self):
         state = OptimizerState.zeros(1)
@@ -97,31 +99,41 @@ class TestMomentUpdate:
 class TestParamUpdate:
     def test_direct_substitution(self):
         store = one_group_store([0.0])
-        adam_param_update(store.theta, np.array([1.0]), np.array([1.0]), 1.0, OptimizerConfig())
+        adam_param_update(store.theta, np.array([1.0]), np.array([1.0]), 1, 1.0, OptimizerConfig())
         assert store.theta[0] == pytest.approx(-0.001 / (1.0 + 1e-8), rel=1e-15)
 
     def test_zero_gradient_leaves_theta(self):
         store = one_group_store([1.5, -2.5])
-        adam_param_update(store.theta, np.zeros(2), np.ones(2), 1.0, OptimizerConfig())
+        adam_param_update(store.theta, np.zeros(2), np.ones(2), 1, 1.0, OptimizerConfig())
         assert list(store.theta) == [1.5, -2.5]
 
     def test_scalar_evaluation(self):
         store = one_group_store([1.0])
-        adam_param_update(store.theta, np.array([4.0]), np.array([4.0]), 0.5, OptimizerConfig())
+        adam_param_update(store.theta, np.array([4.0]), np.array([4.0]), 1, 0.5, OptimizerConfig())
         expected = 1.0 - 0.5 * 0.001 * 4.0 / (2.0 + 1e-8)
         assert store.theta[0] == pytest.approx(expected, rel=1e-15)
         assert store.theta[0] == pytest.approx(0.999, abs=1e-5)
 
+    def test_bias_corrections_after_the_first_step(self):
+        # at t = 2, m_hat = 0.19 / (1 - 0.9**2) = 1 and v_hat = 4, so sqrt(v_hat) = 2
+        store = one_group_store([1.0])
+        cfg = OptimizerConfig()
+        m, v = np.array([0.19]), np.array([4.0 * (1.0 - cfg.beta2**2)])
+        adam_param_update(store.theta, m, v, 2, 0.5, cfg)
+        expected = 1.0 - 0.5 * 0.001 * 1.0 / (2.0 + 1e-8)
+        assert store.theta[0] == pytest.approx(expected, rel=1e-15)
+        assert list(m) == [0.19] and list(v) == [4.0 * (1.0 - cfg.beta2**2)]  # read only
+
     def test_applies_to_uncontrolled_groups_too(self):
         store = mixed_store([1.0], [1.0])
-        adam_param_update(store.theta, np.ones(2), np.ones(2), 1.0, OptimizerConfig())
+        adam_param_update(store.theta, np.ones(2), np.ones(2), 1, 1.0, OptimizerConfig())
         assert store.theta[0] == store.theta[1]  # loss update never masked
 
     def test_shape_mismatch(self):
         store = one_group_store([1.0, 2.0])
         for m_hat, v_hat in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(1))):
             with pytest.raises(ValueError, match="^moment shapes do not match"):
-                adam_param_update(store.theta, m_hat, v_hat, 1.0, OptimizerConfig())
+                adam_param_update(store.theta, m_hat, v_hat, 1, 1.0, OptimizerConfig())
         assert list(store.theta) == [1.0, 2.0]
 
 
@@ -307,8 +319,8 @@ def test_step_variant_none_is_bare_adam():
     cfg = OptimizerConfig()
     for t in range(1, 51):
         state.t = t
-        m_hat, v_hat = adam_moment_update(state.m, state.v, grads[t - 1], state.t, cfg)
-        adam_param_update(store.theta, m_hat, v_hat, base.eta_at(t), cfg)
+        m_t, v_t = adam_moment_update(state.m, state.v, grads[t - 1], state.t, cfg)
+        adam_param_update(store.theta, m_t, v_t, state.t, base.eta_at(t), cfg)
     assert np.array_equal(theta_none, store.theta)
 
 
@@ -515,9 +527,9 @@ def test_step_allocates_no_full_size_array(variant):
     assert peak < g.nbytes, f"{variant.value}: step peaked at {peak} bytes"
 
 
-def test_the_adam_half_reuses_one_pair_of_part_buffers():
-    # Every part's m_hat and v_hat go to the same two part-sized buffers (512 KB):
-    # a new pair per part kept two pairs alive at once, about 1 MB.
+def test_the_adam_half_reuses_one_part_buffer():
+    # Every part's temporary goes to the same part-sized buffer (256 KB): a new
+    # buffer per part kept two alive at once, 512 KB.
     n = 3 * optim._CHUNK + 7
     rng = np.random.default_rng(6)
     store, state, g = one_group_store(rng.normal(size=n)), OptimizerState.zeros(n), rng.normal(size=n)
@@ -529,7 +541,60 @@ def test_the_adam_half_reuses_one_pair_of_part_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * optim._CHUNK * 8, f"the Adam half peaked at {peak} bytes"
+    assert peak < 2 * optim._CHUNK * 8, f"the Adam half peaked at {peak} bytes"
+
+
+def test_a_norm_control_step_releases_the_part_buffer_before_the_norm():
+    # The norm's two block buffers (512 KB) are the step's peak. The Adam half's
+    # part buffer, held through the norm, would add its 256 KB on top.
+    n = 200_000
+    rng = np.random.default_rng(5)
+    store = mixed_store(rng.normal(size=n - n // 10), rng.normal(size=n // 10))
+    state = OptimizerState.zeros(n)
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(1.5))
+    cfg = OptimizerConfig(variant=Variant.NORM_CONTROL)
+    g = rng.normal(size=n)
+    step(store, state, g, 1, sched, cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        step(store, state, g, 2, sched, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * optim._CHUNK * 8 + 64 * 1024, f"the step peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("beta2", [0.9, 0.9999])
+@pytest.mark.parametrize("t", [1, 2, 50, 10**4])
+def test_a_step_lies_within_eight_roundings_of_the_formula(t, beta2):
+    # theta - eta_t * alpha * m_hat / (sqrt(v_hat) + eps) at 50 digits, from the step's
+    # own m and v, with the float bias corrections 1 - beta**t taken as exact. Gradients
+    # and moments span 1e-9 to 1e3, so eps rules some elements and not others.
+    n, eta, u = 300, 0.7, Decimal(2.0 ** -53)
+    rng = np.random.default_rng([t, round(beta2 * 10**4)])
+    scale = 10.0 ** rng.uniform(-9, 3, n)
+    g = rng.normal(size=n) * scale
+    theta0 = rng.normal(size=n) * 10.0 ** rng.uniform(-12, 0, n)
+    store = one_group_store(theta0)
+    if t == 1:
+        state = OptimizerState.zeros(n)
+    else:
+        state = OptimizerState(t - 1, rng.normal(size=n) * scale, (rng.normal(size=n) * scale) ** 2)
+    cfg = OptimizerConfig(alpha=3e-3, beta2=beta2)
+    step(store, state, g, t, ScheduleSpec(horizon=t, eta=CosineSpec(eta, eta)), cfg)
+    eps_shares = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c1, c2 = Decimal(1.0 - cfg.beta1**t), Decimal(1.0 - cfg.beta2**t)
+        rate, eps = Decimal(eta) * Decimal(cfg.alpha), Decimal(cfg.epsilon)
+        for x0, m, v, x in zip(theta0.tolist(), state.m.tolist(), state.v.tolist(),
+                               store.theta.tolist()):
+            den = (Decimal(v) / c2).sqrt() + eps
+            update = rate * (Decimal(m) / c1) / den
+            drift = abs(Decimal(x) - (Decimal(x0) - update))
+            assert drift <= 8 * u * abs(update) + u * abs(Decimal(x)), (x0, m, v, x)
+            eps_shares.append(eps / den)
+    assert max(eps_shares) > 0.1 and min(eps_shares) < 1e-6
 
 
 def test_states_stepped_in_turn_match_each_run_alone():
@@ -557,8 +622,8 @@ def test_states_stepped_in_turn_match_each_run_alone():
         for got, ref in zip((store.theta, state.m, state.v), want):
             assert np.array_equal(got, ref)
 
-    # Moment updates of two states, then both parameter updates: each state's
-    # m_hat and v_hat survive the other state's moment update.
+    # Moment updates of two states, then both parameter updates: what each state's
+    # moment update returned survives the other state's.
     cfgs = [OptimizerConfig(beta1=0.9), OptimizerConfig(beta1=0.5, beta2=0.9)]
 
     def adam(pairs):
@@ -567,8 +632,8 @@ def test_states_stepped_in_turn_match_each_run_alone():
                 state.t = t
             moments = [adam_moment_update(state.m, state.v, grads[t - 1], state.t, cfg)
                        for (_, state), cfg in pairs]
-            for ((store, _), cfg), (m_hat, v_hat) in zip(pairs, moments):
-                adam_param_update(store.theta, m_hat, v_hat, 1.0, cfg)
+            for ((store, _), cfg), (m_t, v_t) in zip(pairs, moments):
+                adam_param_update(store.theta, m_t, v_t, t, 1.0, cfg)
 
     alone = []
     for cfg in cfgs:
@@ -688,8 +753,8 @@ def test_chunked_step_is_the_whole_vector_sequence(variant):
         if variant is Variant.COUPLED_SGD:
             sgd_step_coupled_decay(ref, g, cfg.alpha, k_t)
         else:
-            m_hat, v_hat = adam_moment_update(ref_state.m, ref_state.v, g, t, cfg)
-            adam_param_update(ref.theta, m_hat, v_hat, eta_t, cfg)
+            m_t, v_t = adam_moment_update(ref_state.m, ref_state.v, g, t, cfg)
+            adam_param_update(ref.theta, m_t, v_t, t, eta_t, cfg)
             if variant is not Variant.NONE:
                 regularize_norm_control(ref, r_t, k_t)
         for got, want in zip((store.theta, state.m, state.v),

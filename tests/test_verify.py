@@ -187,6 +187,15 @@ def test_harness_run_agrees_with_the_oracle_at_every_step(config):
     assert steps == list(range(1, config.schedules.horizon + 1))
 
 
+def _without_epsilon(theta, m, v, t, eta_t, cfg, out=None):
+    """optim.adam_param_update without its "+ eps * s"."""
+    c1, s = (1.0, 1.0) if t == 1 else (1.0 - cfg.beta1**t, math.sqrt(1.0 - cfg.beta2**t))
+    update = np.sqrt(v, out=out)
+    np.divide(m, update, out=update)
+    update *= eta_t * cfg.alpha * s / c1
+    theta -= update
+
+
 class TestPropertySuite:
     def test_small_suite_passes(self):
         report = property_suite(seed=0, cases=40)
@@ -204,13 +213,7 @@ class TestPropertySuite:
         assert "FAIL bad" in text and "case 2: boom" in text and "ok   good" in text
 
     def test_a_step_without_epsilon_fails_the_oracle_checks(self, monkeypatch, capsys):
-        def without_epsilon(theta, m_hat, v_hat, eta_t, cfg):  # drops "+ cfg.epsilon"
-            m_hat *= eta_t * cfg.alpha
-            np.sqrt(v_hat, out=v_hat)
-            m_hat /= v_hat
-            theta -= m_hat
-
-        monkeypatch.setattr(optim, "adam_param_update", without_epsilon)
+        monkeypatch.setattr(optim, "adam_param_update", _without_epsilon)
         report = property_suite(0, 20)
         failed = [r for r in report.results if not r.passed]
         assert [r.name for r in failed] == [
@@ -296,13 +299,7 @@ class TestTwoProcesses:
         assert on == off
 
     def test_a_failing_report_is_the_same_in_one_process(self, forks):
-        def without_epsilon(theta, m_hat, v_hat, eta_t, cfg):  # the child inherits this patch
-            m_hat *= eta_t * cfg.alpha
-            np.sqrt(v_hat, out=v_hat)
-            m_hat /= v_hat
-            theta -= m_hat
-
-        forks.setattr(optim, "adam_param_update", without_epsilon)
+        forks.setattr(optim, "adam_param_update", _without_epsilon)  # the child inherits it
         on = property_suite(0, 20).format()
         forks.setattr(verify, "_fork_allowed", lambda *conditions: False)
         assert property_suite(0, 20).format() == on
