@@ -4,9 +4,9 @@ Subcommands: run a config, compare a decay run against a calibrated
 norm-control run, tabulate the schedule values a run applies, and check
 task gradients.
 
-Exit codes: 0 on success, 2 on config/parse errors (``line N: key:
-message``) and on an output path that cannot be written, found before any
-run starts, 3 on runtime numeric errors (including failed checks).
+Exit codes: 0 on success, 2 on config/parse errors (``line N: key: message``),
+an output path that cannot be written or a size that cannot be allocated, found
+before any run starts, 3 on runtime numeric errors (including failed checks).
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
     except (RuntimeError, FloatingPointError, OverflowError) as e:
         print(f"numeric error: {e}", file=sys.stderr)

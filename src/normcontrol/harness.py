@@ -289,7 +289,7 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
     every key of _experiment equal to A's. Its rt schedule is replaced by A's measured
     norm trajectory (calibrate_rt_from_run). All of this is checked before config_a
     runs. A's rows come from verify.forked: from a forked child beside B when
-    verify._fork_allowed, else from this process as B's steps read them. Either way
+    verify._fork_allowed, else from this process, A to its end, then B. Either way
     the outputs and errors are those of running A, then B.
     """
     if config_a.optimizer.variant not in (Variant.DECAY_COUPLED_LR, Variant.DECAY_DECOUPLED,
@@ -315,9 +315,8 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
         raise trace_b
     trace_a = RunTrace(rt.rows, trace_b.initial_norm)  # initialize_run reads only _experiment keys
 
-    loss_a = {r.t: r.val_loss for r in trace_a.rows}
-    rel = [(r.t, r.val_loss / loss_a[r.t]) for r in trace_b.rows
-           if r.t in loss_a and loss_a[r.t] != 0.0]
+    rel = [(b.t, b.val_loss / a.val_loss)  # one t per row pair: _experiment fixes T and eval_every
+           for a, b in zip(trace_a.rows, trace_b.rows) if a.val_loss != 0.0]
     last_a, last_b = trace_a.rows[-1], trace_b.rows[-1]
     return ComparisonReport(
         trace_a=trace_a,

@@ -17,9 +17,9 @@ import numpy as np
 from .schedules import is_integer
 
 # Stores with fewer controlled elements than _EXACT_CUTOFF gather them in one array.
-# Its scaled squares go to math.fsum below _FSUM_MAX elements and to one certified
-# extraction from there on: per sum, 3.8 against 5.5 us at 144, 7.5 against 5.5 at
-# 256 (timeit, one BLAS thread, 2-vCPU VM); the two cross near 190.
+# Its scaled squares go to fsum(memoryview) below _FSUM_MAX elements and to one certified
+# extraction from there on: per sum, 5.9 against 10.1 us at 144, 11.4 against 10.2 at 256
+# (timeit, best of 7 x 5,000, one BLAS thread, 2-vCPU VM); the two cross near 250.
 _EXACT_CUTOFF = 1000
 _FSUM_MAX = 256
 # Elements per part of every streamed pass over a large store, measured best for both:

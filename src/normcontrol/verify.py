@@ -480,12 +480,12 @@ def _fork_allowed(start_methods, cpus: int, version: tuple) -> bool:
 @contextmanager
 def forked(name: str, items, *args):
     """Yield an iterator over items(*args): from a child forked at once when
-    _fork_allowed, else made here as they are read. Leaving the block stops and
-    joins the child; a child that ends early raises RuntimeError naming it."""
+    _fork_allowed, else made here to their end, then the block. Leaving the block
+    stops and joins the child; a child that ends early raises RuntimeError naming it."""
     import multiprocessing  # not on the import path of the package or the cli
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if not _fork_allowed(multiprocessing.get_all_start_methods(), cpus, sys.version_info):
-        yield items(*args)
+        yield iter(list(items(*args)))
         return
     receive, send = multiprocessing.Pipe(duplex=False)
     child = multiprocessing.get_context("fork").Process(target=_send_items, args=(send, items, args))
@@ -542,8 +542,8 @@ def _check_results(checks, seed: int, indices):
 
 def property_suite(seed: int, cases: int) -> SuiteReport:
     """Run every documented invariant over `cases` randomized inputs each: the
-    child's share from forked(), in its child when _fork_allowed, else here after
-    the rest. The report is the same either way, as each check seeds its own rng."""
+    child's share from forked(), beside the rest in its child when _fork_allowed, else
+    here, before the rest. The report is the same either way: each check seeds its own rng."""
     if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if not is_integer(cases) or cases < 1:

@@ -437,3 +437,57 @@ def test_an_interrupted_compare_stops_the_reference_process(forks, capfd):
     assert multiprocessing.active_children() == []
     assert [child.exitcode for child in children] == [-signal.SIGTERM]  # stopped, not awaited
     assert capfd.readouterr().err == ""
+
+
+HUGE = "1000000000000000"  # 10^15 float64s exceed any 64-bit address space: refused at once
+
+
+@pytest.mark.parametrize("command, message", [
+    ("run", "error: Unable to allocate "),
+    ("compare", "error: Unable to allocate "),
+    ("check-grad", "error: Unable to allocate "),
+    ("schedule", "error: MemoryError"),  # the bare error of a 10^15-row table has no text
+], ids=["run", "compare", "check-grad", "schedule"])
+def test_a_size_that_cannot_be_allocated_exits_2(tmp_path, capfd, command, message):
+    import multiprocessing
+
+    cfg_a, cfg_b, out = tmp_path / "a.cfg", tmp_path / "b.cfg", str(tmp_path / "out")
+    cfg_a.write_text(_shipped("mlp_adamw.cfg", dim=HUGE))
+    key = "T" if command == "schedule" else "dim"  # schedule builds no task
+    cfg_b.write_text(_shipped("mlp_norm_control.cfg", **{key: HUGE}))
+    argv = {"run": ["--config", str(cfg_b), "--out", out],
+            "compare": ["--config-a", str(cfg_a), "--template-b", str(cfg_b), "--out-dir", out],
+            "check-grad": ["--task", "all", "--dim", HUGE],
+            "schedule": ["--config", str(cfg_b), "--stride", "1", "--out", out]}[command]
+    for allowed in FORK_GATES:  # compare's A in a forked child, then in this process
+        with fork_gate(allowed):
+            assert main([command, *argv]) == 2, allowed
+        assert multiprocessing.active_children() == []
+        err = capfd.readouterr().err
+        assert err.startswith(message) and len(err.splitlines()) == 1, (allowed, err)
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_batch_that_cannot_be_allocated_fails_at_step_1(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(_shipped("mlp_norm_control.cfg", batch_size=HUGE))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 3
+    assert capsys.readouterr().err.startswith("numeric error: run aborted at step 1: ")
+
+
+def test_config_fuzz_exits_0_2_or_3(tmp_path):
+    import warnings
+
+    from normcontrol.harness import RUN_KEYS, SCHEDULE_KEYS
+
+    base = {"T": "5", "rt": "linear(0:1.0, 5:2.0)"}
+    values = ["", "nan", "inf", "-1", "0", "1e400", "5e-324", "0x10", "1_000", HUGE, "ü"]
+    cfg, out = tmp_path / "fuzz.cfg", str(tmp_path / "t.csv")
+    for key in RUN_KEYS | SCHEDULE_KEYS:
+        for value in values:
+            if key == "T" and value == HUGE:
+                continue  # a valid run of 10^15 steps, which would not end
+            cfg.write_text(_shipped("mlp_norm_control.cfg", **(base | {key: value})))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # unread keys warn; overflow may too
+                assert main(["run", "--config", str(cfg), "--out", out]) in (0, 2, 3), (key, value)

@@ -301,6 +301,41 @@ class TestCompare:
                 compare(a, b)
             assert multiprocessing.active_children() == []
 
+    def test_no_step_runs_inside_another(self, monkeypatch):
+        # In one process A runs to its end before B, so B's rt_at never steps A.
+        depth, deepest, step = [0], [0], optim.step
+
+        def counted(*args):
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+            try:
+                return step(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(optim, "step", counted)
+        a, b = (parse_run_config((CONFIGS_DIR / name).read_text())
+                for name in ("mlp_adamw.cfg", "mlp_norm_control.cfg"))
+        for allowed in FORK_GATES:  # A in a forked child, then in this process
+            deepest[0] = 0
+            with fork_gate(allowed):
+                compare(a, b)
+            assert deepest[0] == 1, allowed
+
+    def test_one_process_raises_the_reference_error_before_run_b(self, monkeypatch):
+        def reference_rows(config):
+            yield TraceRow(50, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
+            raise FloatingPointError("non-finite training loss nan")
+
+        runs = []
+        monkeypatch.setattr(harness, "_reference_rows", reference_rows)
+        monkeypatch.setattr(harness, "run", runs.append)
+        a, b = (parse_run_config((CONFIGS_DIR / name).read_text())
+                for name in ("mlp_adamw.cfg", "mlp_norm_control.cfg"))
+        with fork_gate(False), pytest.raises(FloatingPointError, match="training loss"):
+            compare(a, b)
+        assert runs == []
+
     def test_decay_equivalent_norm_control_gives_identical_losses(self):
         # with a flat eta schedule, k_t = eta * alpha0 * lam is a constant
         # schedule, so the coupled-decay special case is expressible directly
