@@ -11,13 +11,13 @@ update scaled by eta_t * alpha, then exactly one regularization variant:
   r_t * ||theta_0|| at rate k_t,
 * ``COUPLED_SGD``       -- plain SGD with decay at rate lam fused into the
   gradient step (no Adam machinery), kept for reference comparisons,
-* ``NONE``              -- bare Adam.
+* ``NONE``              -- bare Adam, norm control at k_t = 0.
 
 Every decay is norm control with r_t = 0: ``applied_schedule`` reads r_t and
 k_t from the schedules under NORM_CONTROL only and otherwise uses r_t = 0 and
-k_t = ``OptimizerConfig.decay_rate(eta_t)``, so every regularized variant
-scales the controlled groups through ``regularize_norm_control``. Norm
-control under ``EtaTiedKt`` reproduces a decay variant bit for bit.
+k_t = ``OptimizerConfig.decay_rate(eta_t)``, so every variant regularizes
+through ``regularize_norm_control``, which at k_t = 0 measures and scales
+nothing. Norm control under ``EtaTiedKt`` reproduces a decay variant bit for bit.
 """
 
 from __future__ import annotations
@@ -205,12 +205,13 @@ def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
     The target is r_t * ||theta_0||. The controlled vector is scaled by the
     convex blend (1 - k_t) + k_t * target/norm, so the resulting norm is
     exactly (1 - k_t) * norm + k_t * target in real arithmetic, and k_t = 1
-    projects straight onto the target. r_t = 0 is decay, theta *= 1 - k_t, with
-    no division and no norm measurement. A (near) zero controlled norm is left
-    as it is, with a warning, and the factor returned is 1.0.
+    projects straight onto the target. r_t = 0 is decay, theta *= 1 - k_t, and
+    k_t = 0 is no control, factor 1.0: both take no division and no norm
+    measurement, and a factor of exactly 1.0 is not applied. A (near) zero
+    controlled norm is left as it is, with a warning, and the factor is 1.0.
     """
     _check_rates(r_t, k_t, store.initial_norm)
-    if r_t == 0.0:
+    if r_t == 0.0 or k_t == 0.0:
         factor = 1.0 - k_t
     else:
         n = store.controlled_norm()
@@ -223,7 +224,8 @@ def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
             )
             return 1.0
         factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n)
-    store.scale_controlled(factor)
+    if factor != 1.0:  # theta * 1.0 is theta
+        store.scale_controlled(factor)
     return factor
 
 
@@ -273,8 +275,8 @@ def step(
 
     ``sched`` is anything with eta_at/rt_at/kt_at methods, normally a
     ScheduleSpec; only norm control reads rt_at/kt_at, and only norm control
-    with r_t > 0 measures the controlled norm (once). A gradient that is not
-    float64 is converted once, so the step's arithmetic is float64.
+    with r_t > 0 and k_t > 0 measures the controlled norm (once). A gradient
+    that is not float64 is converted once, so the step's arithmetic is float64.
     """
     if g.dtype != np.float64:
         g = g.astype(np.float64, casting="same_kind")  # a complex gradient raises here
@@ -284,7 +286,7 @@ def step(
         raise ValueError(f"gradient shape {g.shape} != state shape {state.m.shape}"
                          f" or parameter shape {store.theta.shape}")
     eta_t, r_t, k_t = applied_schedule(sched, cfg, t)
-    _check_rates(r_t, k_t, store.initial_norm)  # what the regularizer checks; NONE's (0, 0) passes
+    _check_rates(r_t, k_t, store.initial_norm)  # what the regularizer checks
     # Nothing has changed yet, so a step rejected above leaves state and store as they were.
     state.t = t
 
@@ -306,7 +308,7 @@ def step(
                 m_t, v_t = adam_moment_update(m[i:j], v[i:j], g[i:j], t, cfg, part[:j - i])
                 adam_param_update(theta[i:j], m_t, v_t, t, eta_t, cfg, part[:j - i])
         part = m_t = v_t = None  # else held through the norm's peak
-        scale = 1.0 if cfg.variant is Variant.NONE else regularize_norm_control(store, r_t, k_t)
+        scale = regularize_norm_control(store, r_t, k_t)
 
     # Positional arguments: keywords make a small store's step measurably slower.
     return StepReport(t, eta_t, r_t, k_t, r_t * store.initial_norm, scale)

@@ -101,15 +101,15 @@ class _TrainPool:
     batch that an array of row indices selects."""
 
     def sample_batch(self, rng: np.random.Generator, batch_size: int):
-        return self._gather(rng.integers(0, TRAIN_POOL, batch_size))
+        return next(self.batches(rng, batch_size, 1))
 
     def batches(self, rng: np.random.Generator, batch_size: int, steps: int):
-        """Yield the batches of `steps` consecutive sample_batch calls.
+        """Yield `steps` batches, each of batch_size rows drawn from rng.
 
         The indices come in blocks of k steps, one (k, batch_size) draw each.
         Such a draw gives the numbers of k (batch_size,) draws, in order, and
-        leaves rng in the same state, so the batches and rng afterwards equal
-        sample_batch's bit for bit (tests/test_tasks.py pins this).
+        leaves rng in the same state, so any split of the steps into calls
+        draws the same batches bit for bit (tests/test_tasks.py pins this).
         """
         per_block = max(1, _DRAW // batch_size)
         while steps > 0:

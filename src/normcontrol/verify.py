@@ -352,7 +352,7 @@ def _check_uncontrolled_under_regularizers(rng: np.random.Generator) -> str | No
     theta = rng.normal(size=dim)
     store = ParamStore(theta, [ParamGroup("w", 0, cut, True), ParamGroup("u", cut, dim - cut, False)])
     frozen = store.theta[cut:].copy()
-    optim.regularize_decay(store, float(rng.uniform(0.0, 1.0)))
+    optim.regularize_norm_control(store, 0.0, float(rng.uniform(0.0, 1.0)))
     optim.regularize_norm_control(store, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 1.0)))
     if not np.array_equal(store.theta[cut:], frozen):
         return "uncontrolled elements changed under regularization"

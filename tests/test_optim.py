@@ -1,6 +1,7 @@
 import contextlib
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
@@ -192,6 +193,19 @@ class TestNormControl:
         store = one_group_store([0.0, 0.0], initial_norm=1.0)
         with pytest.warns(RuntimeWarning, match="norm control skipped"):
             regularize_norm_control(store, 1.5, 0.5)
+        assert list(store.theta) == [0.0, 0.0]
+
+    def test_zero_rate_is_no_control_even_toward_a_huge_target(self):
+        # target/norm overflows to inf, and a blend of 0 * inf made theta NaN
+        store = one_group_store([2.2e-20], initial_norm=1.0)
+        assert regularize_norm_control(store, 1e300, 0.0) == 1.0
+        assert store.theta[0] == 2.2e-20
+
+    def test_zero_rate_on_zero_vector_does_not_warn(self):
+        store = one_group_store([0.0, 0.0], initial_norm=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert regularize_norm_control(store, 1.0, 0.0) == 1.0
         assert list(store.theta) == [0.0, 0.0]
 
     def test_r_zero_on_zero_vector_needs_no_division(self):
@@ -461,6 +475,25 @@ def test_controlled_norm_calls_per_step(variant, r, monkeypatch):
     assert len(calls) == 3 * per_step
 
 
+@pytest.mark.parametrize("variant", [Variant.NORM_CONTROL, Variant.DECAY_DECOUPLED,
+                                     Variant.COUPLED_SGD])
+def test_a_zero_rate_measures_and_scales_nothing(variant, monkeypatch):
+    # norm control at kt 0, and a decay at lambda = 0
+    store = mixed_store([3.0, 4.0], [1.0])  # measures the initial norm
+    state = OptimizerState.zeros(3)
+    calls = []
+    for name in ("controlled_norm", "scale_controlled"):
+        method = getattr(ParamStore, name)
+        monkeypatch.setattr(ParamStore, name, lambda self, *args, name=name, method=method:
+                            calls.append(name) or method(self, *args))
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(1.5),
+                         kt=PiecewiseLinearSpec.const(0.0))
+    cfg = OptimizerConfig(weight_decay=0.0, variant=variant)
+    for t in range(1, 6):
+        assert step(store, state, np.array([0.1, -0.2, 0.3]), t, sched, cfg).scale == 1.0
+    assert calls == []
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_every_regularized_variant_is_one_norm_control_call(variant, monkeypatch):
     calls = []
@@ -472,12 +505,9 @@ def test_every_regularized_variant_is_one_norm_control_call(variant, monkeypatch
     cfg = OptimizerConfig(weight_decay=0.2, variant=variant)
     report = step(mixed_store([3.0, 4.0], [1.0]), OptimizerState.zeros(3),
                   np.array([0.1, -0.2, 0.3]), 1, sched, cfg)
-    if variant is Variant.NONE:
-        assert calls == [] and (report.r_t, report.k_t, report.scale) == (0.0, 0.0, 1.0)
-    else:
-        assert calls == [(report.r_t, report.k_t)]
-        assert report.k_t == (0.3 if variant is Variant.NORM_CONTROL
-                              else cfg.decay_rate(sched.eta_at(1)))
+    assert calls == [(report.r_t, report.k_t)]
+    assert report.k_t == (0.3 if variant is Variant.NORM_CONTROL
+                          else cfg.decay_rate(sched.eta_at(1)))
 
 
 @pytest.mark.parametrize("variant", [Variant.DECAY_DECOUPLED, Variant.COUPLED_SGD])

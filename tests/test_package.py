@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,18 @@ def test_readme_python_blocks_run_in_order():
     assert namespace["report"].t == 1000
     assert namespace["tied"].kt_at(1) == namespace["decay_cfg"].decay_rate(
         namespace["sched"].eta_at(1))
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.match(r"\s*```sh\n(.*?)^```", section, re.M | re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("normcontrol ")]
+    assert len(commands) == 4
+    (tmp_path / "configs").symlink_to(ROOT / "configs")  # the block's relative config paths
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert normcontrol.cli.main(command[1:]) == 0, (command, capsys.readouterr().err)
 
 
 def _benchmark_module(name):
