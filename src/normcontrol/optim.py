@@ -23,6 +23,7 @@ nothing. Norm control under ``EtaTiedKt`` reproduces a decay variant bit for bit
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -31,10 +32,6 @@ import numpy as np
 
 from .params import _CHUNK, ParamStore
 from .schedules import ConfigError, ScheduleSpec, is_integer
-
-# Below this, the controlled vector is treated as zero: any multiple of it is
-# itself, so a norm target > 0 is unreachable and the update is skipped.
-ZERO_NORM_EPS = 1e-30
 
 
 class Variant(Enum):
@@ -61,9 +58,10 @@ class OptimizerConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(name, f"must be in [0, 1), got {getattr(self, name)}")
-        for name in ("alpha", "epsilon"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")
+        if self.alpha <= 0.0:
+            raise ConfigError("alpha", f"must be > 0, got {self.alpha}")
+        if self.epsilon < sys.float_info.min:  # below it, eps * sqrt(1 - beta2**t) can round to 0
+            raise ConfigError("epsilon", f"must be >= {sys.float_info.min}, got {self.epsilon}")
         if self.weight_decay < 0.0:
             raise ConfigError("weight_decay", f"must be >= 0, got {self.weight_decay}")
         if not isinstance(self.variant, Variant):
@@ -207,23 +205,20 @@ def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
     exactly (1 - k_t) * norm + k_t * target in real arithmetic, and k_t = 1
     projects straight onto the target. r_t = 0 is decay, theta *= 1 - k_t, and
     k_t = 0 is no control, factor 1.0: both take no division and no norm
-    measurement, and a factor of exactly 1.0 is not applied. A (near) zero
-    controlled norm is left as it is, with a warning, and the factor is 1.0.
+    measurement, and a factor of exactly 1.0 is not applied. Where no finite
+    factor reaches the target (a zero or NaN norm, or target/norm overflowing),
+    theta is left as it is, with a warning, and the factor is 1.0.
     """
     _check_rates(r_t, k_t, store.initial_norm)
     if r_t == 0.0 or k_t == 0.0:
         factor = 1.0 - k_t
     else:
         n = store.controlled_norm()
-        if n < ZERO_NORM_EPS:
-            # The zero vector is a fixed point of any rescaling; nothing to do.
-            warnings.warn(
-                "norm control skipped: controlled norm is (near) zero, target unreachable",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n) if n > 0.0 else math.inf
+        if not math.isfinite(factor):  # a zero or NaN norm, or target/norm above the doubles
+            warnings.warn("norm control skipped: no finite factor reaches the norm target",
+                          RuntimeWarning, stacklevel=2)
             return 1.0
-        factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n)
     if factor != 1.0:  # theta * 1.0 is theta
         store.scale_controlled(factor)
     return factor

@@ -141,6 +141,8 @@ class ScheduleSpec:
             raise ConfigError("horizon", f"must be an integer, got {self.horizon!r}")
         if self.horizon <= 0:
             raise ConfigError("horizon", f"must be a positive integer, got {self.horizon}")
+        if self.horizon > 2**53:  # up to it, every step index is an exact double
+            raise ConfigError("horizon", f"must be at most 2**53, got {self.horizon}")
         self.eta.validate("eta")
         if self.horizon <= self.eta.warmup_steps:
             raise ConfigError("horizon", f"must exceed eta's warmup_steps ({self.eta.warmup_steps})")

@@ -132,8 +132,8 @@ def oracle_step(
         shrink = k_t
     elif cfg.variant is Variant.NORM_CONTROL:
         norm = oracle_controlled_norm(oracle.theta, oracle.controlled)
-        if norm >= optim.ZERO_NORM_EPS:
-            shrink = k_t * (1.0 - r_t * oracle.initial_norm / norm)
+        if norm > 0.0 and math.isfinite(ratio := r_t * oracle.initial_norm / norm):
+            shrink = k_t * (1.0 - ratio)  # else no finite multiple of theta reaches the target
     if shrink is not None:
         for i in range(n):
             if oracle.controlled[i]:
@@ -281,7 +281,7 @@ def _check_convex_combination(rng: np.random.Generator) -> str | None:
     flags = _controlled_flags(store)
     store.theta[flags] += rng.normal(size=int(flags.sum()))
     n = store.controlled_norm()
-    if n < optim.ZERO_NORM_EPS:
+    if n == 0.0:
         return None
     r = float(rng.uniform(1e-6, 3.0))
     k = float(rng.uniform(0.0, 1.0))

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import sys
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -195,6 +196,29 @@ class TestNormControl:
             regularize_norm_control(store, 1.5, 0.5)
         assert list(store.theta) == [0.0, 0.0]
 
+    def test_a_tiny_norm_still_reaches_its_target(self):
+        # 1e-30 used to count as zero: this reachable target was skipped with a warning
+        store = one_group_store([5e-35], initial_norm=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            regularize_norm_control(store, 2.0, 1.0)
+        assert abs(store.controlled_norm() - 2.0) <= 4 * EPS * 2.0
+
+    def test_a_target_no_finite_factor_reaches_is_skipped(self):
+        # target/norm overflows: the rule used to return inf and set theta to [inf, inf]
+        store = one_group_store([5e-25, 0.0], initial_norm=1.0)
+        before = store.theta.tobytes()
+        with pytest.warns(RuntimeWarning, match="norm control skipped: no finite factor"):
+            assert regularize_norm_control(store, 1e300, 1.0) == 1.0
+        assert store.theta.tobytes() == before
+
+    def test_a_nan_norm_is_skipped(self):
+        # the blend by a NaN factor used to make every controlled element NaN
+        store = one_group_store([3.0, math.nan], initial_norm=1.0)
+        with pytest.warns(RuntimeWarning, match="norm control skipped: no finite factor"):
+            assert regularize_norm_control(store, 1.0, 0.5) == 1.0
+        assert store.theta[0] == 3.0 and math.isnan(store.theta[1])
+
     def test_zero_rate_is_no_control_even_toward_a_huge_target(self):
         # target/norm overflows to inf, and a blend of 0 * inf made theta NaN
         store = one_group_store([2.2e-20], initial_norm=1.0)
@@ -252,7 +276,7 @@ def test_convex_combination_law(dim, k, r, seed):
     store = one_group_store(rng.normal(size=dim))
     store.theta += rng.normal(size=dim) * 0.5
     n = store.controlled_norm()
-    if n < 1e-30 or store.initial_norm == 0.0:
+    if n == 0.0 or store.initial_norm == 0.0:
         return
     target = r * store.initial_norm
     regularize_norm_control(store, r, k)
@@ -526,6 +550,18 @@ def test_config_validation():
         OptimizerConfig(alpha=0.0)
     with pytest.raises(ValueError, match="weight_decay"):
         OptimizerConfig(weight_decay=-0.1)
+
+
+def test_config_rejects_an_epsilon_below_the_smallest_normal_double():
+    # At 5e-324, eps * sqrt(1 - beta2**2) rounded to 0 and a zero moment stepped to 0/0.
+    with pytest.raises(ConfigError, match="^epsilon: must be >= 2.2250738585072014e-308, got 5e-324$"):
+        OptimizerConfig(epsilon=5e-324)
+    # At the bound, the smallest eps * s is still above 0: beta2 just below 1, at t = 2.
+    cfg = OptimizerConfig(epsilon=sys.float_info.min, beta2=math.nextafter(1.0, 0.0))
+    store, state = one_group_store([1.0, 2.0, 3.0]), OptimizerState.zeros(3)
+    for t in (1, 2):
+        step(store, state, np.array([1.0, 0.0, -1.0]), t, ScheduleSpec(horizon=2), cfg)
+    assert np.all(np.isfinite(store.theta)) and store.theta[1] == 2.0
 
 
 def test_config_rejects_a_variant_that_is_not_a_variant():

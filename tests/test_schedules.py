@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normcontrol.cli import main
+from normcontrol.harness import parse_run_config
 from normcontrol.schedules import (
     ConfigError,
     CosineSpec,
@@ -175,6 +176,18 @@ class TestParse:
             parse_schedule_spec("# a comment\nkt = const(0.5)\nT = 0\n")
         assert (parsed.value.key, parsed.value.line) == ("T", 3)
         assert str(parsed.value) == "line 3: T: must be a positive integer, got 0"
+
+    @pytest.mark.parametrize("T", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_a_horizon_above_2_pow_53_is_a_config_error(self, T, tmp_path):
+        # Up to 2**53 every step index is an exact double; 10**400 failed late, with exit 3.
+        assert parse_schedule_spec(f"T = {2**53}\n").horizon == 2**53
+        with pytest.raises(ConfigError, match=r"^line 2: T: must be at most 2\*\*53, got \d+$"):
+            parse_run_config(f"task = mlp\nT = {T}\n")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"task = mlp\nT = {T}\n")
+        out = tmp_path / "schedule.csv"
+        assert main(["schedule", "--config", str(cfg), "--stride", "1", "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("fields, message", [
         ({"horizon": 10.5}, "horizon: must be an integer, got 10.5"),

@@ -1,7 +1,11 @@
+import ast
+import contextlib
+import inspect
 import math
 import multiprocessing
 import os
 import signal
+import textwrap
 import time
 
 import numpy as np
@@ -123,14 +127,43 @@ def test_near_zero_theta_with_positive_target_stays_finite():
     cfg = OptimizerConfig(variant=Variant.NORM_CONTROL)
     sched = ScheduleSpec(horizon=1, eta=CosineSpec(1.0, 1.0), rt=PiecewiseLinearSpec.const(2.0),
                          kt=PiecewiseLinearSpec.const(0.5))
-    with pytest.warns(RuntimeWarning):
-        step(store, state, np.zeros(dim), 1, sched, cfg)
+    n = store.controlled_norm()
+    step(store, state, np.zeros(dim), 1, sched, cfg)  # a zero gradient leaves theta to the rule
+    assert abs(store.controlled_norm() - (0.5 * n + 0.5 * 2.0)) <= 1e-10 * 2.0
     assert np.all(np.isfinite(store.theta))
 
     oracle = oracle_from_store(store)
     oracle.initial_norm = 1.0
     oracle_step(oracle, np.zeros(dim), 2, 1.0, 2.0, 0.5, cfg)
     assert all(math.isfinite(x) for x in oracle.theta)
+
+
+@pytest.mark.parametrize("theta, r, skipped", [([5e-35], 2.0, False), ([5e-25, 0.0], 1e300, True)])
+def test_step_and_oracle_agree_where_the_norm_is_tiny(theta, r, skipped):
+    # The first target is reached from a norm of 5e-35; no finite factor reaches the second.
+    store = ParamStore(np.array(theta), [ParamGroup("w", 0, len(theta), True)], initial_norm=1.0)
+    oracle = oracle_from_store(store)
+    oracle.initial_norm = 1.0
+    cfg = OptimizerConfig(variant=Variant.NORM_CONTROL)
+    sched = ScheduleSpec(horizon=1, eta=CosineSpec(1.0, 1.0), rt=PiecewiseLinearSpec.const(r),
+                         kt=PiecewiseLinearSpec.const(1.0))
+    g = np.zeros(len(theta))
+    with (pytest.warns(RuntimeWarning, match="norm control skipped")
+          if skipped else contextlib.nullcontext()):  # else a warning fails the test
+        step(store, OptimizerState.zeros(len(theta)), g, 1, sched, cfg)
+    oracle_step(oracle, g, 1, 1.0, r, 1.0, cfg)
+    assert (store.theta.tolist() == theta) == skipped
+    for got, want in zip(store.theta.tolist(), oracle.theta):
+        assert abs(got - want) <= 1e-13 * max(abs(got), abs(want))  # no floor: theta is tiny
+
+
+def test_the_oracle_reads_no_attribute_of_the_optim_module():
+    # A production constant read by the oracle would make their agreement say less.
+    for fn in (oracle_controlled_norm, oracle_from_store, oracle_step):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "optim"]
+        assert read == [], (fn.__name__, read)
 
 
 @st.composite
