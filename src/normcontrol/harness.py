@@ -20,7 +20,10 @@ line-oriented key=value format as schedule specs, with run keys added::
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -38,7 +41,6 @@ from .schedules import (
     parse_choice,
 )
 from .tasks import TASK_NAMES, build_task
-from .verify import forked
 
 
 @dataclass(frozen=True)
@@ -230,6 +232,59 @@ def _rt_breakpoints(reference_rows):
 def calibrate_rt_from_run(reference_trace: RunTrace) -> PiecewiseLinearSpec:
     """rt that follows the reference's measured norm ratio: linear between _rt_breakpoints."""
     return PiecewiseLinearSpec.linear(_rt_breakpoints(reference_trace.rows))
+
+
+def _fork_allowed(start_methods, cpus: int, version: tuple) -> bool:
+    """Whether a forked child may share the work: fork exists, a second CPU is
+    there to run it, and Python is older than 3.12, which warns on a fork with threads."""
+    return "fork" in start_methods and cpus > 1 and version < (3, 12)
+
+
+@contextmanager
+def forked(name: str, items, *args):
+    """Yield an iterator over items(*args): from a child forked at once when
+    _fork_allowed, else made here to their end, then the block. Leaving the block
+    stops and joins the child; a child that ends early raises RuntimeError naming it."""
+    import multiprocessing  # not on the import path of the package or the cli
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if not _fork_allowed(multiprocessing.get_all_start_methods(), cpus, sys.version_info):
+        yield iter(list(items(*args)))
+        return
+    receive, send = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(target=_send_items, args=(send, items, args))
+    child.start()
+    send.close()
+    try:
+        yield _received(receive, name)
+    finally:  # stops the child if it still runs, as after an error or an interrupt
+        child.terminate()
+        child.join()
+        receive.close()
+
+
+def _send_items(send, items, args) -> None:  # the forked child's body
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on an interrupt, the parent stops this process
+    try:
+        for item in items(*args):
+            send.send((item,))
+        send.send(())  # the end; an item goes as a 1-tuple, so any item can be told from it
+    except Exception as e:
+        send.send(e)
+
+
+def _received(receive, name: str):
+    """The child's items as they arrive, until its end; then its error, if it raised one."""
+    while True:
+        try:
+            message = receive.recv()
+        except EOFError:
+            raise RuntimeError(f"{name} ended without a result") from None
+        if isinstance(message, Exception):
+            raise message
+        if not message:
+            return
+        yield message[0]
 
 
 def _reference_rows(config: RunConfig):  # run A's rows, as compare reads them from forked()

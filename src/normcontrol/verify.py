@@ -1,8 +1,4 @@
-"""Scalar-loop reference oracle for the optimizer, plus a property suite.
-
-The oracle re-implements one optimizer step with plain per-element Python
-loops and a two-pass (max-scaled) norm. It shares no arithmetic with the
-production code, so agreement between the two is meaningful evidence.
+"""The property suite, and oracle_from_store: a ParamStore as the oracle's state.
 
 The property suite runs every documented invariant of the parameter store,
 the schedules and the optimizer over randomized inputs and reports each one
@@ -13,16 +9,15 @@ entries, never exceptions.
 from __future__ import annotations
 
 import math
-import os
-import sys
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import optim
+from .harness import forked
 from .optim import EtaTiedKt, OptimizerConfig, OptimizerState, Variant
+from .oracle import OracleState, oracle_controlled_norm, oracle_step
 from .params import ParamGroup, ParamStore
 from .schedules import (
     CosineSpec,
@@ -34,38 +29,6 @@ from .schedules import (
 
 REL_FLOOR = 1e-15
 EPS = float(np.finfo(np.float64).eps)
-
-
-# ---------------------------------------------------------------------------
-# Oracle
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OracleState:
-    """Per-element mirror of (ParamStore, OptimizerState) as plain lists."""
-
-    t: int
-    theta: list[float]
-    m: list[float]
-    v: list[float]
-    controlled: list[bool]
-    initial_norm: float
-
-
-def oracle_controlled_norm(theta: list[float], controlled: list[bool]) -> float:
-    """Two-pass L2 norm: scale by the max magnitude, then accumulate."""
-    biggest = 0.0
-    for x, c in zip(theta, controlled):
-        if c and abs(x) > biggest:
-            biggest = abs(x)
-    if biggest == 0.0:
-        return 0.0
-    acc = 0.0
-    for x, c in zip(theta, controlled):
-        if c:
-            scaled = x / biggest
-            acc += scaled * scaled
-    return biggest * math.sqrt(acc)
 
 
 def _controlled_flags(store: ParamStore) -> np.ndarray:
@@ -87,63 +50,6 @@ def oracle_from_store(store: ParamStore, state: OptimizerState | None = None) ->
         initial_norm=oracle_controlled_norm(theta, controlled),
     )
 
-
-def oracle_step(
-    oracle: OracleState,
-    g,
-    t: int,
-    eta_t: float,
-    r_t: float,
-    k_t: float,
-    cfg: OptimizerConfig,
-    mode: str = "relative",  # benchmarks/workloads.py passes ScheduleSpec.target_mode
-) -> OracleState:
-    """One full optimizer step, transcribed as naive per-element loops."""
-    if mode != "relative":
-        raise ValueError(f"target mode must be 'relative', got {mode!r}")
-    n = len(oracle.theta)
-    oracle.t = t
-
-    if cfg.variant is Variant.COUPLED_SGD:
-        for i in range(n):
-            if oracle.controlled[i]:
-                oracle.theta[i] = (1.0 - cfg.weight_decay) * oracle.theta[i] - cfg.alpha * float(g[i])
-            else:
-                oracle.theta[i] = oracle.theta[i] - cfg.alpha * float(g[i])
-        return oracle
-
-    for i in range(n):
-        gi = float(g[i])
-        oracle.m[i] = cfg.beta1 * oracle.m[i] + (1.0 - cfg.beta1) * gi
-        oracle.v[i] = cfg.beta2 * oracle.v[i] + (1.0 - cfg.beta2) * gi * gi
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
-    for i in range(n):
-        m_hat = oracle.m[i] / bc1
-        v_hat = oracle.v[i] / bc2
-        oracle.theta[i] = oracle.theta[i] - eta_t * cfg.alpha * m_hat / (math.sqrt(v_hat) + cfg.epsilon)
-
-    shrink = None  # None: the controlled elements stay as they are
-    if cfg.variant is Variant.DECAY_COUPLED_LR:
-        shrink = eta_t * cfg.alpha * cfg.weight_decay
-    elif cfg.variant is Variant.DECAY_DECOUPLED:
-        shrink = eta_t * cfg.weight_decay
-    elif cfg.variant is Variant.NORM_CONTROL and r_t == 0.0:
-        shrink = k_t
-    elif cfg.variant is Variant.NORM_CONTROL:
-        norm = oracle_controlled_norm(oracle.theta, oracle.controlled)
-        if norm > 0.0 and math.isfinite(ratio := r_t * oracle.initial_norm / norm):
-            shrink = k_t * (1.0 - ratio)  # else no finite multiple of theta reaches the target
-    if shrink is not None:
-        for i in range(n):
-            if oracle.controlled[i]:
-                oracle.theta[i] = oracle.theta[i] - shrink * oracle.theta[i]
-    return oracle
-
-
-# ---------------------------------------------------------------------------
-# Property suite
-# ---------------------------------------------------------------------------
 
 @dataclass
 class PropertyResult:
@@ -469,59 +375,6 @@ def _check_degenerate_inputs(rng: np.random.Generator) -> str | None:
     if not math.isfinite(store.controlled_norm()):
         return f"non-finite norm (scale={scale}, r={r}, k={k})"
     return None
-
-
-def _fork_allowed(start_methods, cpus: int, version: tuple) -> bool:
-    """Whether a forked child may share the work: fork exists, a second CPU is
-    there to run it, and Python is older than 3.12, which warns on a fork with threads."""
-    return "fork" in start_methods and cpus > 1 and version < (3, 12)
-
-
-@contextmanager
-def forked(name: str, items, *args):
-    """Yield an iterator over items(*args): from a child forked at once when
-    _fork_allowed, else made here to their end, then the block. Leaving the block
-    stops and joins the child; a child that ends early raises RuntimeError naming it."""
-    import multiprocessing  # not on the import path of the package or the cli
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if not _fork_allowed(multiprocessing.get_all_start_methods(), cpus, sys.version_info):
-        yield iter(list(items(*args)))
-        return
-    receive, send = multiprocessing.Pipe(duplex=False)
-    child = multiprocessing.get_context("fork").Process(target=_send_items, args=(send, items, args))
-    child.start()
-    send.close()
-    try:
-        yield _received(receive, name)
-    finally:  # stops the child if it still runs, as after an error or an interrupt
-        child.terminate()
-        child.join()
-        receive.close()
-
-
-def _send_items(send, items, args) -> None:  # the forked child's body
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on an interrupt, the parent stops this process
-    try:
-        for item in items(*args):
-            send.send((item,))
-        send.send(())  # the end; an item goes as a 1-tuple, so any item can be told from it
-    except Exception as e:
-        send.send(e)
-
-
-def _received(receive, name: str):
-    """The child's items as they arrive, until its end; then its error, if it raised one."""
-    while True:
-        try:
-            message = receive.recv()
-        except EOFError:
-            raise RuntimeError(f"{name} ended without a result") from None
-        if isinstance(message, Exception):
-            raise message
-        if not message:
-            return
-        yield message[0]
 
 
 def _check_results(checks, seed: int, indices):

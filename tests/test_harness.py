@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import FORK_GATES, fork_gate
 
-from normcontrol import cli, harness, optim, verify
+from normcontrol import cli, harness, optim
 from normcontrol.harness import (
     RunConfig,
     RunTrace,
@@ -236,7 +236,7 @@ class TestCompare:
 
         forks.setattr(harness, "run", counted)
         on = compare(a, b)
-        forks.setattr(verify, "_fork_allowed", lambda *conditions: False)
+        forks.setattr(harness, "_fork_allowed", lambda *conditions: False)
         off = compare(a, b)
         assert children == [1, 0] and off == on
 

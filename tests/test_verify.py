@@ -293,10 +293,10 @@ class TestTwoProcesses:
     the oracle trajectory, 16) in a forked child, and without."""
 
     def test_the_fork_gate_needs_all_three_conditions(self):
-        assert verify._fork_allowed(["fork", "spawn", "forkserver"], 2, (3, 11, 7))
-        assert not verify._fork_allowed(["spawn"], 2, (3, 11, 7))
-        assert not verify._fork_allowed(["fork", "spawn"], 1, (3, 11, 7))
-        assert not verify._fork_allowed(["fork", "spawn"], 8, (3, 12, 0))
+        assert harness._fork_allowed(["fork", "spawn", "forkserver"], 2, (3, 11, 7))
+        assert not harness._fork_allowed(["spawn"], 2, (3, 11, 7))
+        assert not harness._fork_allowed(["fork", "spawn"], 1, (3, 11, 7))
+        assert not harness._fork_allowed(["fork", "spawn"], 8, (3, 12, 0))
 
     def test_each_check_runs_once_and_the_child_runs_the_same_ones(self, forks):
         receive, send = multiprocessing.Pipe(duplex=False)
@@ -326,7 +326,7 @@ class TestTwoProcesses:
     @pytest.mark.parametrize("cases", [1, 20, 300])
     def test_the_report_is_the_same_in_one_process(self, forks, cases):
         on = [property_suite(seed, cases) for seed in range(3)]
-        forks.setattr(verify, "_fork_allowed", lambda *conditions: False)
+        forks.setattr(harness, "_fork_allowed", lambda *conditions: False)
         off = [property_suite(seed, cases) for seed in range(3)]
         assert [r.format() for r in on] == [r.format() for r in off]
         assert on == off
@@ -334,7 +334,7 @@ class TestTwoProcesses:
     def test_a_failing_report_is_the_same_in_one_process(self, forks):
         forks.setattr(optim, "adam_param_update", _without_epsilon)  # the child inherits it
         on = property_suite(0, 20).format()
-        forks.setattr(verify, "_fork_allowed", lambda *conditions: False)
+        forks.setattr(harness, "_fork_allowed", lambda *conditions: False)
         assert property_suite(0, 20).format() == on
         assert on.count("FAIL") == 5 and on.count("first counterexample: case ") == 5, on
 
