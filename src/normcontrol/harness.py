@@ -343,8 +343,8 @@ def compare(config_a: RunConfig, config_b_template: RunConfig) -> ComparisonRepo
     config_b_template must use the NORM_CONTROL variant and describe A's experiment:
     every key of _experiment equal to A's. Its rt schedule is replaced by A's measured
     norm trajectory (calibrate_rt_from_run). All of this is checked before config_a
-    runs. A's rows come from verify.forked: from a forked child beside B when
-    verify._fork_allowed, else from this process, A to its end, then B. Either way
+    runs. A's rows come from forked: from a forked child beside B when
+    _fork_allowed, else from this process, A to its end, then B. Either way
     the outputs and errors are those of running A, then B.
     """
     if config_a.optimizer.variant not in (Variant.DECAY_COUPLED_LR, Variant.DECAY_DECOUPLED,

@@ -206,16 +206,16 @@ def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
     projects straight onto the target. r_t = 0 is decay, theta *= 1 - k_t, and
     k_t = 0 is no control, factor 1.0: both take no division and no norm
     measurement, and a factor of exactly 1.0 is not applied. Where no finite
-    factor reaches the target (a zero or NaN norm, or target/norm overflowing),
-    theta is left as it is, with a warning, and the factor is 1.0.
+    factor reaches the target (a zero, NaN or infinite norm, or target/norm
+    overflowing), theta is left as it is, with a warning, and the factor is 1.0.
     """
     _check_rates(r_t, k_t, store.initial_norm)
     if r_t == 0.0 or k_t == 0.0:
         factor = 1.0 - k_t
     else:
         n = store.controlled_norm()
-        factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n) if n > 0.0 else math.inf
-        if not math.isfinite(factor):  # a zero or NaN norm, or target/norm above the doubles
+        factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n) if 0.0 < n < math.inf else math.inf
+        if not math.isfinite(factor):  # a zero, NaN or infinite norm, or target/norm above the doubles
             warnings.warn("norm control skipped: no finite factor reaches the norm target",
                           RuntimeWarning, stacklevel=2)
             return 1.0

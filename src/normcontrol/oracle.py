@@ -72,19 +72,20 @@ def oracle_step(
         v_hat = oracle.v[i] / bc2
         oracle.theta[i] = oracle.theta[i] - eta_t * cfg.alpha * m_hat / (math.sqrt(v_hat) + cfg.epsilon)
 
-    shrink = None  # None: the controlled elements stay as they are
+    rate = ratio = None  # theta_i -> (1 - rate) * theta_i [+ (rate * ratio) * theta_i]; None: kept
     if variant == "decay_coupled_lr":
-        shrink = eta_t * cfg.alpha * cfg.weight_decay
+        rate = eta_t * cfg.alpha * cfg.weight_decay
     elif variant == "decay_decoupled":
-        shrink = eta_t * cfg.weight_decay
+        rate = eta_t * cfg.weight_decay
     elif variant == "norm_control" and r_t == 0.0:
-        shrink = k_t
+        rate = k_t
     elif variant == "norm_control":
         norm = oracle_controlled_norm(oracle.theta, oracle.controlled)
-        if norm > 0.0 and math.isfinite(ratio := r_t * oracle.initial_norm / norm):
-            shrink = k_t * (1.0 - ratio)  # else no finite multiple of theta reaches the target
-    if shrink is not None:
+        if 0.0 < norm < math.inf and math.isfinite(ratio := r_t * oracle.initial_norm / norm):
+            rate = k_t  # else no finite multiple of theta reaches the target
+    if rate is not None:
         for i in range(n):
             if oracle.controlled[i]:
-                oracle.theta[i] = oracle.theta[i] - shrink * oracle.theta[i]
+                kept = (1.0 - rate) * oracle.theta[i]
+                oracle.theta[i] = kept if ratio is None else kept + (rate * ratio) * oracle.theta[i]
     return oracle

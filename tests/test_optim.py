@@ -219,6 +219,17 @@ class TestNormControl:
             assert regularize_norm_control(store, 1.0, 0.5) == 1.0
         assert store.theta[0] == 3.0 and math.isnan(store.theta[1])
 
+    @pytest.mark.parametrize("theta, k", [([math.inf, 1.0], 1.0), ([math.inf, 1.0], 0.5),
+                                          ([1.5e308, 1.5e308], 1.0)])
+    def test_an_infinite_norm_is_skipped(self, theta, k):
+        # target/inf = 0 made [inf, 1] [NaN, 0] at k_t = 1 and [inf, 0.5] at 0.5, and
+        # zeroed the finite [1.5e308, 1.5e308], whose norm overflows, with no warning
+        store = one_group_store(theta, initial_norm=1.0)
+        before = store.theta.tobytes()
+        with pytest.warns(RuntimeWarning, match="norm control skipped: no finite factor"):
+            assert regularize_norm_control(store, 1.0, k) == 1.0
+        assert store.theta.tobytes() == before
+
     def test_zero_rate_is_no_control_even_toward_a_huge_target(self):
         # target/norm overflows to inf, and a blend of 0 * inf made theta NaN
         store = one_group_store([2.2e-20], initial_norm=1.0)

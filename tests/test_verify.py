@@ -1,19 +1,21 @@
 import ast
 import contextlib
 import inspect
+import itertools
 import math
 import multiprocessing
 import os
 import signal
 import textwrap
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normcontrol import harness, optim, verify
+from normcontrol import harness, optim, oracle, verify
 from normcontrol.cli import main
 from normcontrol.optim import OptimizerConfig, OptimizerState, Variant, step
 from normcontrol.params import ParamGroup, ParamStore
@@ -155,6 +157,51 @@ def test_step_and_oracle_agree_where_the_norm_is_tiny(theta, r, skipped):
     assert (store.theta.tolist() == theta) == skipped
     for got, want in zip(store.theta.tolist(), oracle.theta):
         assert abs(got - want) <= 1e-13 * max(abs(got), abs(want))  # no floor: theta is tiny
+
+
+def test_step_and_oracle_agree_over_the_double_range():
+    # Stores of initial norm 1 whose elements share one magnitude with alternating signs;
+    # a zero gradient at t = 1 leaves theta to the rule. The sizes cross both of
+    # controlled_norm's cutoffs, and the magnitudes reach both ends of the doubles.
+    cfg = OptimizerConfig(variant=Variant.NORM_CONTROL)
+    disagree = []
+    for magnitude, size, r, k in itertools.product(
+            (2.0**-1074, 2.0**-1022, 1.0, 2.0**511, 2.0**1023, math.inf, math.nan),
+            (1, 2, 255, 256, 999, 1000, 1001), (0.0, 2.0**-1000, 1.0, 2.0**1000),
+            (0.0, 2.0**-53, 0.5, 1.0)):
+        theta = np.where(np.arange(size) % 2, -magnitude, magnitude)
+        store = ParamStore(theta, [ParamGroup("w", 0, size, True)], initial_norm=1.0)
+        mirror = oracle_from_store(store)
+        mirror.initial_norm = 1.0
+        sched = ScheduleSpec(horizon=1, eta=CosineSpec(1.0, 1.0),
+                             rt=PiecewiseLinearSpec.const(r), kt=PiecewiseLinearSpec.const(k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a skip warns
+            step(store, OptimizerState.zeros(size), np.zeros(size), 1, sched, cfg)
+        oracle_step(mirror, [0.0] * size, 1, 1.0, r, k, cfg)
+        for i, (got, want) in enumerate(zip(store.theta.tolist(), mirror.theta)):
+            if not (got == want or (math.isnan(got) and math.isnan(want))
+                    or verify._close(got, want, 1e-13)):
+                disagree.append((magnitude, size, r, k, i, got, want))
+                break
+    assert disagree == []
+
+
+def test_the_oracle_stands_alone_and_harness_imports_nothing_of_verify():
+    def imported(module):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                yield base
+                yield from (f"{base}.{alias.name}" for alias in node.names)
+
+    assert set(imported(oracle)) <= {"__future__", "__future__.annotations", "math",
+                                     "dataclasses", "dataclasses.dataclass"}
+    assert [name for name in imported(harness) if "verify" in name.split(".")] == []
+    for name in ("OracleState", "oracle_controlled_norm", "oracle_step"):  # the benchmark's names
+        assert getattr(verify, name) is getattr(oracle, name)
 
 
 def test_the_oracle_reads_no_attribute_of_the_optim_module():
