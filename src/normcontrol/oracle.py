@@ -72,7 +72,9 @@ def oracle_step(
         v_hat = oracle.v[i] / bc2
         oracle.theta[i] = oracle.theta[i] - eta_t * cfg.alpha * m_hat / (math.sqrt(v_hat) + cfg.epsilon)
 
-    rate = ratio = None  # theta_i -> (1 - rate) * theta_i [+ (rate * ratio) * theta_i]; None: kept
+    # theta_i -> (1 - rate) * theta_i [+ (rate * ratio) * theta_i], the kept fraction applied
+    # as it is, so nothing cancels when little of theta is kept; a rate of None keeps theta
+    rate = ratio = None
     if variant == "decay_coupled_lr":
         rate = eta_t * cfg.alpha * cfg.weight_decay
     elif variant == "decay_decoupled":
