@@ -201,12 +201,12 @@ def _certified_sum(blocks, n: int) -> float | None:
     the q is exact in any order. The float sum of a row's m <= L leftovers
     is off by at most gamma_(m-1) * m * 2**-40 < 2 * L * 2**-53 * m * 2**-40,
     so all rows together by at most n * 2**-80 = `bound`. So the exact sum
-    T lies within `bound` of the exact sum of the row sums, and r is that
-    value correctly rounded. Rounding is monotone: if both ends of the
-    interval round to r (checked exactly, with fsum), so does T, and r is
-    what math.fsum over the same floats returns, bit for bit. When T lies
-    within `bound` of a rounding boundary (an exact tie, say) the check
-    fails and None tells the caller to use math.fsum.
+    T lies within `bound` of the exact sum S of the row sums. fsum rounds
+    S - bound and S + bound correctly, and rounding is monotone: if both
+    round to one double, so does every value between them, T included, and
+    that double is what math.fsum over the same floats returns, bit for
+    bit. When T lies within `bound` of a rounding boundary (an exact tie,
+    say) the two differ and None tells the caller to use math.fsum.
 
     Each block is a float64 array of at most min(n, _CHUNK) elements; the
     extraction overwrites it. A gathered store of fewer than _EXACT_CUTOFF
@@ -225,10 +225,8 @@ def _certified_sum(blocks, n: int) -> float | None:
                 sums += np.add.reduce(part[:whole].reshape(-1, _ROW), axis=1).tolist()
             sums.append(float(np.add.reduce(part[whole:])))
     bound = math.ldexp(float(n), -80)
-    r = math.fsum(sums)
-    if math.fsum(sums + [-bound]) == r == math.fsum(sums + [bound]):
-        return r
-    return None
+    lo = math.fsum(sums + [-bound])
+    return lo if math.fsum(sums + [bound]) == lo else None
 
 
 def _check_tiling(groups: list[ParamGroup], size: int) -> None:
