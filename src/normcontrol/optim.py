@@ -205,17 +205,21 @@ def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
     exactly (1 - k_t) * norm + k_t * target in real arithmetic, and k_t = 1
     projects straight onto the target. r_t = 0 is decay, theta *= 1 - k_t, and
     k_t = 0 is no control, factor 1.0: both take no division and no norm
-    measurement, and a factor of exactly 1.0 is not applied. Where no finite
-    factor reaches the target (a zero, NaN or infinite norm, or target/norm
-    overflowing), theta is left as it is, with a warning, and the factor is 1.0.
+    measurement, and a factor of exactly 1.0 is not applied. Decay at rate 1
+    makes an infinite element NaN (IEEE 0 * inf); harness.run rejects the NaN
+    loss that follows. Where the norm or the factor is not a normal double (a
+    zero, subnormal, NaN or infinite norm, or target/norm overflowing, or
+    underflowing at k_t = 1), theta is left as it is, with a warning, and the
+    factor is 1.0.
     """
     _check_rates(r_t, k_t, store.initial_norm)
     if r_t == 0.0 or k_t == 0.0:
         factor = 1.0 - k_t
     else:
         n = store.controlled_norm()
-        factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n) if 0.0 < n < math.inf else math.inf
-        if not math.isfinite(factor):  # a zero, NaN or infinite norm, or target/norm above the doubles
+        tiny = sys.float_info.min  # the smallest normal double
+        factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n) if tiny <= n < math.inf else 0.0
+        if not tiny <= factor < math.inf:  # a norm or a factor that is not a normal double
             warnings.warn("norm control skipped: no finite factor reaches the norm target",
                           RuntimeWarning, stacklevel=2)
             return 1.0

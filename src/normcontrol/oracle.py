@@ -82,9 +82,13 @@ def oracle_step(
     elif variant == "norm_control" and r_t == 0.0:
         rate = k_t
     elif variant == "norm_control":
+        # scale only by a normal factor from a normal norm of finite elements, else keep
+        # theta; an infinite ratio fails the factor's test (inf, or NaN at k_t = 0)
         norm = oracle_controlled_norm(oracle.theta, oracle.controlled)
-        if 0.0 < norm < math.inf and math.isfinite(ratio := r_t * oracle.initial_norm / norm):
-            rate = k_t  # else no finite multiple of theta reaches the target
+        ratio = r_t * oracle.initial_norm / norm if 2.0 ** -1022 <= norm < math.inf else math.inf
+        if 2.0 ** -1022 <= (1.0 - k_t) + k_t * ratio < math.inf and all(
+                math.isfinite(x) for x, c in zip(oracle.theta, oracle.controlled) if c):
+            rate = k_t
     if rate is not None:
         for i in range(n):
             if oracle.controlled[i]:

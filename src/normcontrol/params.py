@@ -18,8 +18,8 @@ from .schedules import is_integer
 
 # Stores with fewer controlled elements than _EXACT_CUTOFF gather them in one array.
 # Its scaled squares go to fsum(memoryview) below _FSUM_MAX elements and to one certified
-# extraction from there on: per sum, 5.9 against 10.1 us at 144, 11.4 against 10.2 at 256
-# (timeit, best of 7 x 5,000, one BLAS thread, 2-vCPU VM); the two cross near 250.
+# extraction from there on; both give fsum's bits, and per sum 3.2 against 5.7 us at 144,
+# 5.8 against 5.7 at 256 (timeit, best of 7 x 5,000, one BLAS thread, 2-vCPU VM).
 _EXACT_CUTOFF = 1000
 _FSUM_MAX = 256
 # Elements per part of every streamed pass over a large store, measured best for both:

@@ -230,6 +230,17 @@ class TestNormControl:
             assert regularize_norm_control(store, 1.0, k) == 1.0
         assert store.theta.tobytes() == before
 
+    @pytest.mark.parametrize("theta", [[2.0**511], [2.0**-1074, -2.0**-1074]])
+    def test_a_factor_or_norm_below_the_normal_doubles_is_skipped(self, theta):
+        # At r_t = 2^-1000, k_t = 1, [2^511] took the factor 0.0 (target/norm underflows)
+        # and became [0.0] with no warning; the subnormal norm of [2^-1074, -2^-1074]
+        # rounds to 2^-1074, so theta landed 41% above its target.
+        store = one_group_store(theta, initial_norm=1.0)
+        before = store.theta.tobytes()
+        with pytest.warns(RuntimeWarning, match="norm control skipped: no finite factor"):
+            assert regularize_norm_control(store, 2.0**-1000, 1.0) == 1.0
+        assert store.theta.tobytes() == before
+
     def test_zero_rate_is_no_control_even_toward_a_huge_target(self):
         # target/norm overflows to inf, and a blend of 0 * inf made theta NaN
         store = one_group_store([2.2e-20], initial_norm=1.0)

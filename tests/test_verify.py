@@ -6,9 +6,11 @@ import math
 import multiprocessing
 import os
 import signal
+import sys
 import textwrap
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,32 +161,134 @@ def test_step_and_oracle_agree_where_the_norm_is_tiny(theta, r, skipped):
         assert abs(got - want) <= 1e-13 * max(abs(got), abs(want))  # no floor: theta is tiny
 
 
-def test_step_and_oracle_agree_over_the_double_range():
-    # Stores of initial norm 1 whose elements share one magnitude with alternating signs;
-    # a zero gradient at t = 1 leaves theta to the rule. The sizes cross both of
-    # controlled_norm's cutoffs, and the magnitudes reach both ends of the doubles.
+@pytest.fixture(scope="module")
+def double_range_grid():
+    """Norm-control steps over the double range, with production beside the oracle.
+
+    Stores of initial norm 1 whose elements share one magnitude with alternating signs;
+    a zero gradient at t = 1 leaves theta to the rule. The sizes cross both of
+    controlled_norm's cutoffs, and the magnitudes reach both ends of the doubles. Returns
+    (magnitude, size, r, k), theta before, production's theta after, whether production
+    warned of a skip, and the oracle's theta after, for each case.
+    """
     cfg = OptimizerConfig(variant=Variant.NORM_CONTROL)
-    disagree = []
-    for magnitude, size, r, k in itertools.product(
+    grid = []
+    for case in itertools.product(
             (2.0**-1074, 2.0**-1022, 1.0, 2.0**511, 2.0**1023, math.inf, math.nan),
             (1, 2, 255, 256, 999, 1000, 1001), (0.0, 2.0**-1000, 1.0, 2.0**1000),
             (0.0, 2.0**-53, 0.5, 1.0)):
+        magnitude, size, r, k = case
         theta = np.where(np.arange(size) % 2, -magnitude, magnitude)
         store = ParamStore(theta, [ParamGroup("w", 0, size, True)], initial_norm=1.0)
         mirror = oracle_from_store(store)
         mirror.initial_norm = 1.0
         sched = ScheduleSpec(horizon=1, eta=CosineSpec(1.0, 1.0),
                              rt=PiecewiseLinearSpec.const(r), kt=PiecewiseLinearSpec.const(k))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # a skip warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)  # a skip warns
             step(store, OptimizerState.zeros(size), np.zeros(size), 1, sched, cfg)
         oracle_step(mirror, [0.0] * size, 1, 1.0, r, k, cfg)
-        for i, (got, want) in enumerate(zip(store.theta.tolist(), mirror.theta)):
+        warned = any("norm control skipped" in str(w.message) for w in caught)
+        grid.append((case, theta, store.theta, warned, np.array(mirror.theta)))
+    return grid
+
+
+def test_step_and_oracle_agree_over_the_double_range(double_range_grid):
+    disagree = []
+    for case, _, got_theta, _, want_theta in double_range_grid:
+        for i, (got, want) in enumerate(zip(got_theta.tolist(), want_theta.tolist())):
             if not (got == want or (math.isnan(got) and math.isnan(want))
                     or verify._close(got, want, 1e-13)):
-                disagree.append((magnitude, size, r, k, i, got, want))
+                disagree.append((*case, i, got, want))
                 break
     assert disagree == []
+
+
+U = Fraction(1, 2**53)  # the unit roundoff of a double
+ROOT_BITS = 1138  # every square of a double is a multiple of 4**-1074, of 4**-ROOT_BITS too
+
+
+def _exact_square_sum(values: np.ndarray) -> Fraction:
+    """The exact sum of the squares of finite doubles, one Fraction per distinct magnitude."""
+    magnitudes, counts = np.unique(np.abs(values), return_counts=True)
+    return sum((c * Fraction(v) ** 2 for v, c in zip(magnitudes.tolist(), counts.tolist())),
+               Fraction(0))
+
+
+def _exact_root(s: Fraction) -> Fraction:
+    """sqrt(s) rounded down to a multiple of 2**-ROOT_BITS, by math.isqrt; s is a square sum."""
+    return Fraction(math.isqrt(s.numerator * 4**ROOT_BITS // s.denominator), 2**ROOT_BITS)
+
+
+def _is_normal(lo: Fraction, hi: Fraction) -> bool:
+    """Whether an exact value known to lie in [lo, hi] is a positive normal double's size."""
+    smallest, largest = Fraction(2) ** -1022, Fraction(sys.float_info.max)
+    low, high = (smallest <= v <= largest for v in (lo, hi))
+    assert low == high, f"[{float(lo)}, {float(hi)}] straddles an end of the normal doubles"
+    return low
+
+
+def test_step_and_oracle_match_exact_arithmetic_over_the_double_range(double_range_grid):
+    # The rule's outcome in exact arithmetic, on the grid above (initial norm 1):
+    # - r_t = 0 or k_t = 0 measures nothing: each finite element must become
+    #   fl((1 - k_t) * theta_i).
+    # - Else the rule must skip exactly where the exact norm N or the exact factor
+    #   F = (1 - k_t) + k_t * r_t / N is not a positive normal double, and otherwise land
+    #   near the norm W = (1 - k_t) * N + k_t * r_t.
+    # "Near" counts roundings, each a relative error of at most U:
+    # - The computed norm is within a relative e of N. Production rounds the scaled
+    #   squares, their sum (fsum) and the root: e = (1 + U)**3 - 1. The oracle rounds each
+    #   quotient x / max and its square, the `size` - 1 additions (gamma_(size-1)), the
+    #   root and the product by max: e = (1 + U)**4 * (1 + gamma) - 1. A root halves the
+    #   relative error of its argument; counting it whole only widens the bound.
+    # - Four roundings follow for each element: production's divide, product and sum of
+    #   the factor, then its scale of theta_i; the oracle's divide and product of
+    #   k_t * ratio, its scale of theta_i and the sum with the kept term (which takes two).
+    #   1 - k_t and r_t * 1 are exact on this grid.
+    # So each element lands within [B, A] * F * theta_i, and the norm within [B, A] * W,
+    # with A = (1 + U)**4 / (1 - e) and B = (1 - U)**4 / (1 + e). A rounding whose result
+    # is subnormal loses up to 2**-1075 instead, at most four per element, so the norm
+    # gains at most size * 4 * 2**-1075. A subnormal term inside the factor arises only at
+    # k_t < 1, where F >= 2**-53, so A - 1's second-order part covers its 2**-1075.
+    resolution = Fraction(1, 2**ROOT_BITS)
+    miss = []
+    for case, before, got, warned, mirrored in double_range_grid:
+        magnitude, size, r, k = case
+        if r == 0.0 or k == 0.0:
+            want = before.copy()  # inf and NaN times 1 - k_t > 0 stay as they are
+            for x in np.unique(before[np.isfinite(before)]).tolist():
+                want[before == x] = float((1 - Fraction(k)) * Fraction(x))
+            if k == 1.0:
+                want[np.isinf(before)] = math.nan  # decay at rate 1: the IEEE product 0 * inf
+            miss += [(side, *case) for side, after in (("production", got), ("oracle", mirrored))
+                     if not np.array_equal(after, want, equal_nan=True)]
+            continue
+        skip = not math.isfinite(magnitude)
+        if not skip:
+            n_lo = _exact_root(_exact_square_sum(before))  # N lies in [n_lo, n_hi]
+            n_hi = n_lo + resolution
+            kept, kr = 1 - Fraction(k), Fraction(k) * Fraction(r)
+            skip = not (_is_normal(n_lo, n_hi) and _is_normal(kept + kr / n_hi, kept + kr / n_lo))
+        for side, after, warned_skip in (("production", got, warned), ("oracle", mirrored, None)):
+            if skip:  # the oracle does not warn
+                if not (np.array_equal(before, after, equal_nan=True) and warned_skip is not False):
+                    miss.append((side, *case, "not skipped"))
+                continue
+            if warned_skip:
+                miss.append((side, *case, "skipped"))
+                continue
+            if side == "production":
+                e = (1 + U) ** 3 - 1
+            else:
+                gamma = (size - 1) * U / (1 - (size - 1) * U)
+                e = (1 + U) ** 4 * (1 + gamma) - 1
+            upper, lower = (1 + U) ** 4 / (1 - e), (1 - U) ** 4 / (1 + e)
+            floor = size * 4 * Fraction(1, 2**1075)
+            landed = _exact_root(_exact_square_sum(after))  # the exact norm, less < resolution
+            if not (lower * (kept * n_lo + kr) - floor <= landed + resolution
+                    and landed <= upper * (kept * n_hi + kr) + floor):
+                miss.append((side, *case, float(landed), float(kept * n_lo + kr)))
+    assert miss == []
 
 
 def test_the_oracle_stands_alone_and_harness_imports_nothing_of_verify():
