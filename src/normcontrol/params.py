@@ -136,12 +136,6 @@ class ParamStore:
         except OverflowError:
             return math.inf  # the norm is above the largest double
 
-    def norm_ratio(self) -> float:
-        """Current controlled norm as a multiple of the initial norm."""
-        if self.initial_norm == 0.0:
-            raise ValueError("degenerate initialization: initial controlled norm is 0")
-        return self.controlled_norm() / self.initial_norm
-
     def scale_controlled(self, factor: float) -> None:
         """Multiply every controlled element by one scalar, in place."""
         for s in self.controlled_slices:

@@ -119,7 +119,7 @@ def _check_ratio_at_init(rng: np.random.Generator) -> str | None:
     store = _random_store(rng)
     if store.initial_norm == 0.0:
         return None
-    ratio = store.norm_ratio()
+    ratio = store.controlled_norm() / store.initial_norm
     if ratio != 1.0:
         return f"dim={store.theta.size}: ratio at init {ratio!r} != 1.0"
     return None

@@ -42,13 +42,13 @@ def test_zero_vector_norm():
 
 def test_norm_ratio_unchanged_is_one():
     store = two_group_store([1.0, -2.0, 0.5], [9.0])
-    assert store.norm_ratio() == 1.0
+    assert store.controlled_norm() / store.initial_norm == 1.0
 
 
 def test_norm_ratio_after_doubling():
     store = ParamStore(np.array([3.0, 4.0]), [ParamGroup("w", 0, 2, True)])
     store.theta *= 2.0
-    assert store.norm_ratio() == pytest.approx(2.0, rel=4 * EPS)
+    assert store.controlled_norm() / store.initial_norm == pytest.approx(2.0, rel=4 * EPS)
 
 
 def test_norm_ratio_derived_from_direct_summation():
@@ -58,13 +58,7 @@ def test_norm_ratio_derived_from_direct_summation():
     init = math.sqrt(3.0**2 + 4.0**2)
     cur = math.sqrt(6.0**2 + 8.0**2)
     assert cur / init == 2.0
-    assert store.norm_ratio() == pytest.approx(2.0, rel=4 * EPS)
-
-
-def test_norm_ratio_degenerate_init_raises():
-    store = ParamStore(np.zeros(3), [ParamGroup("w", 0, 3, True)])
-    with pytest.raises(ValueError, match="degenerate initialization"):
-        store.norm_ratio()
+    assert store.controlled_norm() / store.initial_norm == pytest.approx(2.0, rel=4 * EPS)
 
 
 def test_snapshot_is_independent():
@@ -177,7 +171,7 @@ def test_group_offset_and_length_must_be_integers(offset, length):
 
 @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.nan, -0.5])
 def test_an_explicit_initial_norm_must_be_nonnegative(bad):
-    # else the norm target r_t * initial_norm went negative: norm_ratio() was -2.0 at -1.0
+    # else the norm target r_t * initial_norm went negative: the norm ratio was -2.0 at -1.0
     with pytest.raises(ValueError, match="^initial_norm must be >= 0, got "):
         ParamStore(np.array([3.0, 4.0]), [ParamGroup("w", 0, 2)], initial_norm=bad)
     for good in (0.0, 2.5, math.inf):
