@@ -183,6 +183,15 @@ def run(config: RunConfig) -> RunTrace:
     return RunTrace(list(_logged_rows(config, task, store, rng)), store.initial_norm)
 
 
+# The rule check's bound on |norm after - p| / p, p = (1 - k_t) * n + k_t * target, counted
+# from the roundings between them, each at most u = 2**-53: three in each of the two
+# norms (squares, sum, root), three in the factor (divide, product, sum), one in each
+# element's scale and two in p (products, then sum). 1 - k_t and the target round alike
+# in the rule and in p. So the ratio of the two lies within (1 + u)**7 / (1 - u)**5,
+# about 1 + 12 u, of 1; a scale into the subnormals can lose more.
+RULE_BOUND = math.expm1(7 * math.log1p(2.0**-53) - 5 * math.log1p(-2.0**-53))
+
+
 def _logged_rows(config: RunConfig, task, store: ParamStore, rng):
     """The training loop: yield each trace row as soon as it is logged.
 
@@ -190,7 +199,10 @@ def _logged_rows(config: RunConfig, task, store: ParamStore, rng):
     is measured for those rows only. Any component error, or a non-finite
     loss or gradient, aborts with the failing step index before the
     optimizer sees that step's gradient; a logged row with a non-finite
-    value aborts before it is yielded.
+    value aborts before it is yielded. So does a logged row of a step that
+    scaled by the rule (a measured norm n, a factor other than 1.0) whose
+    norm misses the paper's (1 - k_t) * n + k_t * target by more than
+    RULE_BOUND of it: the check reuses both norms, and measures none.
     """
     state = OptimizerState.zeros(store.theta.size)
     sched = config.schedules
@@ -214,6 +226,12 @@ def _logged_rows(config: RunConfig, task, store: ParamStore, rng):
                 for name, value in vars(row).items():
                     if not math.isfinite(value):
                         raise FloatingPointError(f"non-finite {name} {value}")
+                if report.scale != 1.0 and math.isfinite(report.norm):
+                    rule = (1.0 - report.k_t) * report.norm + report.k_t * report.target_norm
+                    if not abs(norm - rule) <= RULE_BOUND * rule:
+                        raise FloatingPointError(
+                            f"controlled norm {norm!r} misses the rule's {rule!r}, "
+                            f"(1 - k_t) * {report.norm!r} + k_t * {report.target_norm!r}")
         except Exception as e:
             raise RuntimeError(f"run aborted at step {t}: {e}") from e
         if logged:

@@ -133,6 +133,7 @@ class StepReport:
     k_t: float  # applied: the kt schedule under norm control, else cfg.decay_rate(eta_t)
     target_norm: float  # r_t * the initial controlled norm (0 unless norm control)
     scale: float  # factor applied to the controlled groups by the regularization (1.0: none)
+    norm: float  # controlled norm the rule measured before its scale; NaN if it measured none
 
 
 def adam_moment_update(
@@ -197,40 +198,45 @@ def _check_rates(r_t: float, k_t: float, initial_norm: float) -> None:
         raise ValueError(f"norm target {r_t} * initial_norm {initial_norm} is not finite")
 
 
-def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> float:
-    """Move the controlled norm toward its target at rate k_t; return the factor.
+def regularize_norm_control(store: ParamStore, r_t: float, k_t: float) -> tuple[float, float]:
+    """Move the controlled norm toward its target at rate k_t; return (factor, norm).
 
     The target is r_t * ||theta_0||. The controlled vector is scaled by the
     convex blend (1 - k_t) + k_t * target/norm, so the resulting norm is
     exactly (1 - k_t) * norm + k_t * target in real arithmetic, and k_t = 1
-    projects straight onto the target. r_t = 0 is decay, theta *= 1 - k_t, and
-    k_t = 0 is no control, factor 1.0: both take no division and no norm
-    measurement, and a factor of exactly 1.0 is not applied. Decay at rate 1
-    makes an infinite element NaN (IEEE 0 * inf); harness.run rejects the NaN
-    loss that follows. Where the norm or the factor is not a normal double (a
-    zero, subnormal, NaN or infinite norm, or target/norm overflowing, or
-    underflowing at k_t = 1), theta is left as it is, with a warning, and the
-    factor is 1.0.
+    projects straight onto the target. ``norm`` is the controlled norm
+    measured before the scale, NaN where none was measured. r_t = 0 is decay,
+    theta *= 1 - k_t, and k_t = 0 is no control, factor 1.0: both take no
+    division and no norm measurement, and a factor of exactly 1.0 is not
+    applied. Decay at rate 1 makes an infinite element NaN (IEEE 0 * inf);
+    harness.run rejects the NaN loss that follows. Where the norm or the
+    factor is not a normal double (a zero, subnormal, NaN or infinite norm, or
+    target/norm overflowing, or underflowing at k_t = 1), theta is left as it
+    is, with a warning that names that value, and the factor is 1.0.
     """
     _check_rates(r_t, k_t, store.initial_norm)
     if r_t == 0.0 or k_t == 0.0:
-        factor = 1.0 - k_t
+        factor, n = 1.0 - k_t, math.nan
     else:
         n = store.controlled_norm()
         tiny = sys.float_info.min  # the smallest normal double
-        factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n) if tiny <= n < math.inf else 0.0
-        if not tiny <= factor < math.inf:  # a norm or a factor that is not a normal double
-            warnings.warn("norm control skipped: no finite factor reaches the norm target",
+        if not tiny <= n < math.inf:
+            cause = f"the controlled norm {n!r}"
+        else:
+            factor = (1.0 - k_t) + k_t * (r_t * store.initial_norm / n)
+            cause = None if tiny <= factor < math.inf else f"the factor {factor!r}"
+        if cause is not None:
+            warnings.warn(f"norm control skipped: {cause} is not a normal double",
                           RuntimeWarning, stacklevel=2)
-            return 1.0
+            return 1.0, n
     if factor != 1.0:  # theta * 1.0 is theta
         store.scale_controlled(factor)
-    return factor
+    return factor, n
 
 
 def regularize_decay(store: ParamStore, rate: float) -> float:
     """Multiplicative decay theta *= (1 - rate) on controlled groups only; returns 1 - rate."""
-    return regularize_norm_control(store, 0.0, rate)
+    return regularize_norm_control(store, 0.0, rate)[0]
 
 
 def sgd_step_coupled_decay(store: ParamStore, g: np.ndarray, alpha: float,
@@ -243,7 +249,7 @@ def sgd_step_coupled_decay(store: ParamStore, g: np.ndarray, alpha: float,
     """
     if g.shape != store.theta.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape {store.theta.shape}")
-    factor = regularize_norm_control(store, 0.0, weight_decay)
+    factor = regularize_norm_control(store, 0.0, weight_decay)[0]
     for i in range(0, g.size, _CHUNK):
         store.theta[i:i + _CHUNK] -= alpha * g[i:i + _CHUNK]
     return factor
@@ -274,8 +280,9 @@ def step(
 
     ``sched`` is anything with eta_at/rt_at/kt_at methods, normally a
     ScheduleSpec; only norm control reads rt_at/kt_at, and only norm control
-    with r_t > 0 and k_t > 0 measures the controlled norm (once). A gradient
-    that is not float64 is converted once, so the step's arithmetic is float64.
+    with r_t > 0 and k_t > 0 measures the controlled norm (once), which the
+    report's ``norm`` holds (NaN under every other step). A gradient that is
+    not float64 is converted once, so the step's arithmetic is float64.
     """
     if g.dtype != np.float64:
         g = g.astype(np.float64, casting="same_kind")  # a complex gradient raises here
@@ -291,7 +298,7 @@ def step(
 
     if cfg.variant is Variant.COUPLED_SGD:
         # Fused decay + gradient step; no moments.
-        scale = sgd_step_coupled_decay(store, g, cfg.alpha, k_t)
+        scale, norm = sgd_step_coupled_decay(store, g, cfg.alpha, k_t), math.nan
     else:
         # Above _CHUNK elements, the Adam half runs on one part's views after another, so
         # each part's rows are still in L2 for its parameter update. The kernels are
@@ -307,7 +314,7 @@ def step(
                 m_t, v_t = adam_moment_update(m[i:j], v[i:j], g[i:j], t, cfg, part[:j - i])
                 adam_param_update(theta[i:j], m_t, v_t, t, eta_t, cfg, part[:j - i])
         part = m_t = v_t = None  # else held through the norm's peak
-        scale = regularize_norm_control(store, r_t, k_t)
+        scale, norm = regularize_norm_control(store, r_t, k_t)
 
     # Positional arguments: keywords make a small store's step measurably slower.
-    return StepReport(t, eta_t, r_t, k_t, r_t * store.initial_norm, scale)
+    return StepReport(t, eta_t, r_t, k_t, r_t * store.initial_norm, scale, norm)

@@ -276,6 +276,20 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_a_run_whose_norm_misses_the_rule_exits_3(tmp_path, capsys, monkeypatch):
+    from normcontrol.params import ParamStore
+
+    scale = ParamStore.scale_controlled
+    monkeypatch.setattr(ParamStore, "scale_controlled",
+                        lambda self, factor: scale(self, factor * (1.0 + 2.0**-40)))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(CONFIGS_DIR / "mlp_norm_control.cfg"),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: run aborted at step 50: controlled norm "), err
+    assert "misses the rule's" in err and not out.exists()
+
+
 @pytest.mark.filterwarnings("error")  # no warning: every key the configs set is read
 def test_shipped_configs_parse_and_compare(tmp_path):
     from normcontrol.harness import parse_run_config

@@ -192,8 +192,8 @@ class TestNormControl:
 
     def test_zero_vector_is_noop_for_positive_target(self):
         store = one_group_store([0.0, 0.0], initial_norm=1.0)
-        with pytest.warns(RuntimeWarning, match="norm control skipped"):
-            regularize_norm_control(store, 1.5, 0.5)
+        with pytest.warns(RuntimeWarning, match="^norm control skipped: the controlled norm 0.0 "):
+            assert regularize_norm_control(store, 1.5, 0.5) == (1.0, 0.0)
         assert list(store.theta) == [0.0, 0.0]
 
     def test_a_tiny_norm_still_reaches_its_target(self):
@@ -208,15 +208,16 @@ class TestNormControl:
         # target/norm overflows: the rule used to return inf and set theta to [inf, inf]
         store = one_group_store([5e-25, 0.0], initial_norm=1.0)
         before = store.theta.tobytes()
-        with pytest.warns(RuntimeWarning, match="norm control skipped: no finite factor"):
-            assert regularize_norm_control(store, 1e300, 1.0) == 1.0
+        with pytest.warns(RuntimeWarning, match="^norm control skipped: the factor inf is not a"):
+            assert regularize_norm_control(store, 1e300, 1.0) == (1.0, 5e-25)
         assert store.theta.tobytes() == before
 
     def test_a_nan_norm_is_skipped(self):
         # the blend by a NaN factor used to make every controlled element NaN
         store = one_group_store([3.0, math.nan], initial_norm=1.0)
-        with pytest.warns(RuntimeWarning, match="norm control skipped: no finite factor"):
-            assert regularize_norm_control(store, 1.0, 0.5) == 1.0
+        with pytest.warns(RuntimeWarning, match="^norm control skipped: the controlled norm nan "):
+            factor, norm = regularize_norm_control(store, 1.0, 0.5)
+        assert factor == 1.0 and math.isnan(norm)
         assert store.theta[0] == 3.0 and math.isnan(store.theta[1])
 
     @pytest.mark.parametrize("theta, k", [([math.inf, 1.0], 1.0), ([math.inf, 1.0], 0.5),
@@ -226,8 +227,8 @@ class TestNormControl:
         # zeroed the finite [1.5e308, 1.5e308], whose norm overflows, with no warning
         store = one_group_store(theta, initial_norm=1.0)
         before = store.theta.tobytes()
-        with pytest.warns(RuntimeWarning, match="norm control skipped: no finite factor"):
-            assert regularize_norm_control(store, 1.0, k) == 1.0
+        with pytest.warns(RuntimeWarning, match="^norm control skipped: the controlled norm inf "):
+            assert regularize_norm_control(store, 1.0, k) == (1.0, math.inf)
         assert store.theta.tobytes() == before
 
     @pytest.mark.parametrize("theta", [[2.0**511], [2.0**-1074, -2.0**-1074]])
@@ -235,23 +236,25 @@ class TestNormControl:
         # At r_t = 2^-1000, k_t = 1, [2^511] took the factor 0.0 (target/norm underflows)
         # and became [0.0] with no warning; the subnormal norm of [2^-1074, -2^-1074]
         # rounds to 2^-1074, so theta landed 41% above its target.
+        cause = "the factor 0.0" if len(theta) == 1 else "the controlled norm 5e-324"
         store = one_group_store(theta, initial_norm=1.0)
         before = store.theta.tobytes()
-        with pytest.warns(RuntimeWarning, match="norm control skipped: no finite factor"):
-            assert regularize_norm_control(store, 2.0**-1000, 1.0) == 1.0
+        with pytest.warns(RuntimeWarning, match=f"^norm control skipped: {cause} is not a normal double$"):
+            assert regularize_norm_control(store, 2.0**-1000, 1.0)[0] == 1.0
         assert store.theta.tobytes() == before
 
     def test_zero_rate_is_no_control_even_toward_a_huge_target(self):
         # target/norm overflows to inf, and a blend of 0 * inf made theta NaN
         store = one_group_store([2.2e-20], initial_norm=1.0)
-        assert regularize_norm_control(store, 1e300, 0.0) == 1.0
+        factor, norm = regularize_norm_control(store, 1e300, 0.0)
+        assert factor == 1.0 and math.isnan(norm)  # no norm measured
         assert store.theta[0] == 2.2e-20
 
     def test_zero_rate_on_zero_vector_does_not_warn(self):
         store = one_group_store([0.0, 0.0], initial_norm=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert regularize_norm_control(store, 1.0, 0.0) == 1.0
+            assert regularize_norm_control(store, 1.0, 0.0)[0] == 1.0
         assert list(store.theta) == [0.0, 0.0]
 
     def test_r_zero_on_zero_vector_needs_no_division(self):
@@ -434,7 +437,20 @@ def test_step_report_fields():
     assert report.r_t == 2.0 and report.k_t == 0.5
     assert report.target_norm == 10.0
     assert report.scale == 1.5
+    assert report.norm == 5.0  # measured before the scale
     assert list(store.theta) == [4.5, 6.0]
+
+
+@pytest.mark.parametrize("variant, r, k", [(Variant.DECAY_DECOUPLED, 1.5, 0.3),
+                                           (Variant.COUPLED_SGD, 1.5, 0.3),
+                                           (Variant.NORM_CONTROL, 1.5, 0.0),
+                                           (Variant.NORM_CONTROL, 0.0, 0.3)])
+def test_a_step_that_measures_no_norm_reports_a_nan_norm(variant, r, k):
+    sched = ScheduleSpec(horizon=10, rt=PiecewiseLinearSpec.const(r),
+                         kt=PiecewiseLinearSpec.const(k))
+    report = step(one_group_store([3.0, 4.0]), OptimizerState.zeros(2), np.array([0.1, -0.2]),
+                  1, sched, OptimizerConfig(weight_decay=0.2, variant=variant))
+    assert math.isnan(report.norm)
 
 
 def test_coupled_sgd_reports_the_multiplier_it_applies():
@@ -449,10 +465,11 @@ def test_coupled_sgd_reports_the_multiplier_it_applies():
 def test_regularizers_return_the_applied_factor():
     assert regularize_decay(one_group_store([2.0]), 0.25) == 0.75
     assert sgd_step_coupled_decay(one_group_store([2.0]), np.array([1.0]), 0.1, 0.5) == 0.5
-    assert regularize_norm_control(one_group_store([3.0, 4.0]), 0.0, 0.1) == 1.0 - 0.1
-    assert regularize_norm_control(one_group_store([3.0, 4.0], initial_norm=5.0), 2.0, 0.5) == 1.5
+    assert regularize_norm_control(one_group_store([3.0, 4.0]), 0.0, 0.1)[0] == 1.0 - 0.1
+    store = one_group_store([3.0, 4.0], initial_norm=5.0)
+    assert regularize_norm_control(store, 2.0, 0.5) == (1.5, 5.0)  # with the norm it measured
     with pytest.warns(RuntimeWarning, match="norm control skipped"):
-        assert regularize_norm_control(one_group_store([0.0], initial_norm=1.0), 1.5, 0.5) == 1.0
+        assert regularize_norm_control(one_group_store([0.0], initial_norm=1.0), 1.5, 0.5)[0] == 1.0
 
 
 @pytest.mark.parametrize("variant", list(Variant))
