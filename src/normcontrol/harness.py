@@ -24,7 +24,8 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,10 @@ from .tasks import TASK_NAMES, build_task
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run: the task and its sizes, the seed, the eval interval, the schedules
+    and the optimizer. Each field is checked on construction; a bad one raises
+    ConfigError naming it, as does a decay rate above 1 at eta_max."""
+
     task: str
     schedules: ScheduleSpec
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -76,8 +81,7 @@ class RunConfig:
             raise ConfigError("weight_decay", f"decay rate {formula} = {rate:.6g} is above 1")
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
     t: int
     train_loss: float
     val_loss: float
@@ -90,16 +94,15 @@ class TraceRow:
     grad_norm: float
 
 
-TRACE_HEADER = ",".join(f.name for f in fields(TraceRow))
+TRACE_HEADER = ",".join(TraceRow._fields)
 
 
-@dataclass
-class RunTrace:
+class RunTrace(NamedTuple):
     rows: list[TraceRow]
     initial_norm: float
 
     def to_csv(self) -> str:
-        return _csv(TRACE_HEADER, (vars(r).values() for r in self.rows))
+        return _csv(TRACE_HEADER, self.rows)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -223,7 +226,7 @@ def _logged_rows(config: RunConfig, task, store: ParamStore, rng):
                 row = TraceRow(t, train_loss, val_loss, report.eta_t, report.r_t, report.k_t,
                                report.target_norm, norm, norm / store.initial_norm,
                                float(np.linalg.norm(g)))
-                for name, value in vars(row).items():
+                for name, value in zip(TraceRow._fields, row):
                     if not math.isfinite(value):
                         raise FloatingPointError(f"non-finite {name} {value}")
                 if report.scale != 1.0 and math.isfinite(report.norm):
@@ -335,8 +338,7 @@ class _StreamedRt(PiecewiseLinearSpec):
         return super().value_at(t)
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     trace_a: RunTrace
     trace_b: RunTrace
     final_ratio_a: float

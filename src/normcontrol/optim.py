@@ -27,6 +27,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,10 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Adam's step size alpha, betas and epsilon, the weight decay lambda and the
+    variant that regularizes. Each field is checked on construction; a bad one
+    raises ConfigError naming it."""
+
     alpha: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
@@ -80,8 +85,7 @@ class OptimizerConfig:
         return 0.0
 
 
-@dataclass(frozen=True)
-class EtaTiedKt:
+class EtaTiedKt(NamedTuple):
     """Norm-control schedules that reproduce a weight-decay variant exactly.
 
     r_t = 0 and k_t = decay_cfg.decay_rate(eta_t), the rate step applies
@@ -125,8 +129,7 @@ class OptimizerState:
         return cls(t=0, m=np.zeros(n), v=np.zeros(n))
 
 
-@dataclass
-class StepReport:
+class StepReport(NamedTuple):
     t: int
     eta_t: float  # applied: the eta schedule, else 1.0 under coupled SGD
     r_t: float  # applied: the rt schedule under norm control, else 0

@@ -20,6 +20,7 @@ import numbers
 import re
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
@@ -40,8 +41,7 @@ def is_integer(value) -> bool:
     return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
-@dataclass(frozen=True)
-class CosineSpec:
+class CosineSpec(NamedTuple):
     """Half-cosine annealing from eta_max to eta_min, optional linear warmup."""
 
     eta_max: float = 1.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ def oracle_from_store(store: ParamStore, state: OptimizerState | None = None) ->
     )
 
 
-@dataclass
-class PropertyResult:
+class PropertyResult(NamedTuple):
     name: str
     cases: int
     failures: int
@@ -63,8 +62,7 @@ class PropertyResult:
         return self.failures == 0
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     results: list[PropertyResult]
 
     @property

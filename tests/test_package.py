@@ -1,5 +1,8 @@
+import dataclasses
+import importlib
 import importlib.util
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -79,3 +82,26 @@ def test_importing_the_package_and_cli_does_not_import_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out == "False\n"
+
+
+def test_only_the_records_that_need_it_are_dataclasses():
+    # Each @dataclass costs 0.5-2 ms of every import of the package, several times what a
+    # NamedTuple of the same fields costs. So a new value record is a NamedTuple unless it
+    # needs __post_init__ checks, dataclasses.replace, mutation or a dataclass subclass, as
+    # each of these does.
+    modules = [importlib.import_module(f"normcontrol.{info.name}")
+               for info in pkgutil.iter_modules(normcontrol.__path__)]
+    declared = {f"{module.__name__}.{name}" for module in modules
+                for name, cls in vars(module).items()
+                if isinstance(cls, type) and cls.__module__ == module.__name__
+                and dataclasses.is_dataclass(cls)
+                and "__dataclass_fields__" in vars(cls)}  # not inherited, as by _StreamedRt
+    assert declared == {
+        "normcontrol.harness.RunConfig",  # checks, replace, __dataclass_fields__ as schema
+        "normcontrol.optim.OptimizerConfig",  # checks, __dataclass_fields__ as schema
+        "normcontrol.schedules.ScheduleSpec",  # checks, replace, __dataclass_fields__ as schema
+        "normcontrol.params.ParamGroup",  # checks
+        "normcontrol.schedules.PiecewiseLinearSpec",  # _StreamedRt builds on its construction
+        "normcontrol.optim.OptimizerState",  # checks, a mutable t
+        "normcontrol.oracle.OracleState",  # mutable; oracle.py imports no typing (test_verify)
+    }
