@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import FORK_GATES, fork_gate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -411,6 +412,38 @@ class TestPropertySuite:
             assert "np.float64" not in r.first_counterexample, r
         assert main(["check-grad", "--task", "quadratic", "--properties", "20"]) == 3
         assert "first counterexample: case 0: theta[0] drifted" in capsys.readouterr().out
+
+    # Two faults of 2**-30 relative, each of which reaches the failure messages of checks
+    # that pass on working code: the scale the rule applies, and the target it aims at. A
+    # factor of exactly 1.0 is not applied, so only the second reaches the fixed point.
+    @pytest.mark.parametrize("fault, failing", [
+        ("scale", ["controlled norm scales linearly", "norm control convex-combination law",
+                   "oracle step: coupled-lr decay", "oracle step: decoupled decay",
+                   "oracle step: norm control", "oracle step: coupled sgd",
+                   "oracle trajectory drift (quadratic, norm control)"]),
+        ("target", ["norm control convex-combination law", "norm control fixed point at target",
+                    "oracle step: norm control",
+                    "oracle trajectory drift (quadratic, norm control)"]),
+    ], ids=["scale", "target"])
+    def test_a_rule_off_by_2_to_the_minus_30_fails_its_checks(self, monkeypatch, fault, failing):
+        if fault == "scale":
+            scale = ParamStore.scale_controlled
+            monkeypatch.setattr(ParamStore, "scale_controlled",
+                                lambda store, factor: scale(store, factor * (1 + 2**-30)))
+        else:
+            rule = optim.regularize_norm_control
+            monkeypatch.setattr(optim, "regularize_norm_control",
+                                lambda store, r_t, k_t: rule(store, r_t * (1 + 2**-30), k_t))
+        texts = []
+        for allowed in FORK_GATES:  # the child inherits the fault
+            with fork_gate(allowed):
+                report = property_suite(0, 20)
+            failed = [r for r in report.results if not r.passed]
+            assert [r.name for r in failed] == failing, report.format()
+            for r in failed:
+                assert r.first_counterexample.startswith("case "), r
+            texts.append(report.format())
+        assert texts == [texts[0]] * len(FORK_GATES)
 
     def test_invalid_case_count(self):
         with pytest.raises(ValueError, match="cases"):
